@@ -120,11 +120,17 @@ whatif-smoke:
 # Domain-parallel gate: a two-rack chaos storm advanced on two executors
 # under the race detector must produce the byte-identical digest of the
 # one-executor run; the sharded traffic lockstep goldens run under both
-# the parallel and the forced-sequential (-tags simsequential) builds.
+# the parallel and the forced-sequential (-tags simsequential) builds, and
+# so do the sharded observer streams (buffered per rack, merged after the
+# run) and payload bytes, whose pinned digest also holds under -tags
+# simreference.
 parallel-smoke:
 	$(GO) test -race ./internal/experiments -run 'TestSharded(ChaosSmoke|TrafficLockstep)' -count=1
+	$(GO) test -race ./internal/traffic -run TestShardedObserversLockstep -count=1
 	$(GO) test -tags simsequential ./internal/sim/ -run TestGroup -count=1
 	$(GO) test -tags simsequential ./internal/experiments -run TestShardedTrafficLockstep -count=1
+	$(GO) test -tags simsequential ./internal/traffic -run 'TestSharded(ObserversLockstep|SingleRackMatchesRun)' -count=1
+	$(GO) test -tags simreference ./internal/traffic -run TestShardedObserversLockstep -count=1
 
 # Engine + solver + figure benchmark sweep, recorded machine-readably in
 # BENCH_kernel.json (with the pre-overhaul numbers carried along from

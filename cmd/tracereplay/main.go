@@ -56,6 +56,14 @@ func main() {
 	flag.Parse()
 	defer profiling.Start(*cpuProfile, *memProfile)()
 
+	// A sharded run replays the fitted spec, not the recorded stream, and
+	// records nothing: both flags would be silently dropped.
+	if *racks > 1 && *record {
+		fail(fmt.Errorf("-record is not supported with -racks > 1"))
+	}
+	if *racks > 1 && *audit {
+		fail(fmt.Errorf("-audit is not supported with -racks > 1"))
+	}
 	if *record {
 		doRecord(*machine, *fs, *nodes, *duration, *seed, *load, *out)
 		return

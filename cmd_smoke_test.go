@@ -37,6 +37,23 @@ func run(t *testing.T, bin string, args ...string) string {
 	return string(b)
 }
 
+// runFail runs a command that must reject its input: a non-zero exit with
+// the expected message, never a panic.
+func runFail(t *testing.T, bin string, want string, args ...string) {
+	t.Helper()
+	b, err := exec.Command(bin, args...).CombinedOutput()
+	out := string(b)
+	if err == nil {
+		t.Fatalf("%s %v succeeded, want a rejection:\n%s", bin, args, out)
+	}
+	if strings.Contains(out, "panic") || strings.Contains(out, "goroutine ") {
+		t.Fatalf("%s %v panicked:\n%s", bin, args, out)
+	}
+	if !strings.Contains(out, want) {
+		t.Fatalf("%s %v: output lacks %q:\n%s", bin, args, want, out)
+	}
+}
+
 func TestCommandsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -99,6 +116,14 @@ func TestCommandsSmoke(t *testing.T) {
 	if !strings.Contains(out, "ckpt") || !strings.Contains(out, "goodput") {
 		t.Fatalf("trafficbench output:\n%s", out)
 	}
+
+	// Bad input and flag combinations the engine cannot honour are errors,
+	// never panics or silently dropped flags.
+	runFail(t, filepath.Join(dir, "trafficbench"), "remote fraction", "-racks", "2", "-remote", "1.5")
+	runFail(t, filepath.Join(dir, "trafficbench"), "positive duration", "-duration", "0")
+	runFail(t, filepath.Join(dir, "tracereplay"), "-record is not supported", "-record", "-racks", "2")
+	runFail(t, filepath.Join(dir, "tracereplay"), "-audit is not supported",
+		"-trace", "internal/experiments/testdata/fidelity_trace.jsonl", "-racks", "2", "-audit")
 
 	// tracereplay round trip: record a short synthetic run, re-ingest it,
 	// replay it on the same deployment, and demand a passing audit.

@@ -78,7 +78,7 @@ func buildShardedTestbeds(machine string, fs FS, racks, nodesPerRack, domains in
 // to `domains` executors (0 = GOMAXPROCS). cfg.RemoteFraction of requests
 // are placed on another rack and forwarded over the inter-rack links.
 func RunShardedTraffic(machine string, fs FS, racks, nodesPerRack, domains int, cfg traffic.ShardedConfig) (traffic.ShardedReport, error) {
-	if err := cfg.Spec.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return traffic.ShardedReport{}, err
 	}
 	g, trs, _, err := buildShardedTestbeds(machine, fs, racks, nodesPerRack, domains)

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"storagesim/internal/netsim"
 	"storagesim/internal/resilience"
 	"storagesim/internal/sim"
+	"storagesim/internal/trace"
 )
 
 // buildShardedRig assembles a domain group with nracks racks — each with
@@ -131,41 +133,145 @@ func TestShardedResilienceLockstep(t *testing.T) {
 	}
 }
 
+// observed collects both observer streams of a run.
+type observed struct {
+	events   []trace.Event
+	outcomes []OutcomeEvent
+}
+
+func (o *observed) attach(cfg *Config) {
+	cfg.Observer = func(ev trace.Event) { o.events = append(o.events, ev) }
+	cfg.OutcomeObserver = func(ev OutcomeEvent) { o.outcomes = append(o.outcomes, ev) }
+}
+
 // TestShardedSingleRackMatchesRun: with one rack the sharded engine is the
 // classic engine — same arrivals, same admissions, same byte stream, same
-// latency list, element for element.
+// latency list, payload and observer streams, element for element, both
+// for a windowed and for a drained run.
 func TestShardedSingleRackMatchesRun(t *testing.T) {
-	cfg := Config{Spec: twoTenantSpec(), Duration: 2 * time.Second, Seed: 3, KeepLatencies: true}
+	for _, drain := range []bool{false, true} {
+		cfg := Config{Spec: twoTenantSpec(), Duration: 2 * time.Second, Seed: 3, KeepLatencies: true, Drain: drain}
 
-	env, fab, mount := fakeRig(1e9)
-	classic := Run(env, fab, 2, mount, cfg)
+		var want, got observed
+		ccfg := cfg
+		want.attach(&ccfg)
+		env, fab, mount := fakeRig(1e9)
+		classic := Run(env, fab, 2, mount, ccfg)
 
-	// RemoteFraction 0.5 with one rack must be forced to 0: nowhere else
-	// to place data.
-	g, racks := buildShardedRig(2, 1, 2, 1e9, 500*time.Microsecond)
-	defer g.Shutdown()
-	sharded := RunSharded(g, racks, ShardedConfig{Config: cfg, RemoteFraction: 0.5})
+		// RemoteFraction 0.5 with one rack must be forced to 0: nowhere
+		// else to place data.
+		scfg := cfg
+		got.attach(&scfg)
+		g, racks := buildShardedRig(2, 1, 2, 1e9, 500*time.Microsecond)
+		sharded := RunSharded(g, racks, ShardedConfig{Config: scfg, RemoteFraction: 0.5})
+		g.Shutdown()
 
-	if len(sharded.Tenants) != len(classic.Tenants) || len(sharded.Racks) != 1 {
-		t.Fatalf("report shape: %d tenants / %d racks", len(sharded.Tenants), len(sharded.Racks))
+		if len(sharded.Tenants) != len(classic.Tenants) || len(sharded.Racks) != 1 {
+			t.Fatalf("drain=%v report shape: %d tenants / %d racks", drain, len(sharded.Tenants), len(sharded.Racks))
+		}
+		for ti := range classic.Tenants {
+			a, b := classic.Tenants[ti], sharded.Tenants[ti]
+			if a.Offered != b.Offered || a.Shed != b.Shed || a.Completed != b.Completed || a.InFlightEnd != b.InFlightEnd {
+				t.Errorf("drain=%v %s counters diverged: classic %d/%d/%d/%d sharded %d/%d/%d/%d", drain,
+					a.Name, a.Offered, a.Shed, a.Completed, a.InFlightEnd,
+					b.Offered, b.Shed, b.Completed, b.InFlightEnd)
+			}
+			if drain && b.InFlightEnd != 0 {
+				t.Errorf("drained sharded run left %d %s requests in flight", b.InFlightEnd, b.Name)
+			}
+			if a.DeliveredBytes != b.DeliveredBytes || a.PayloadBytes != b.PayloadBytes {
+				t.Errorf("drain=%v %s bytes diverged: classic %v/%v sharded %v/%v", drain, a.Name,
+					a.DeliveredBytes, a.PayloadBytes, b.DeliveredBytes, b.PayloadBytes)
+			}
+			if a.P50 != b.P50 || a.P95 != b.P95 || a.P99 != b.P99 {
+				t.Errorf("drain=%v %s quantiles diverged: classic %v/%v/%v sharded %v/%v/%v", drain,
+					a.Name, a.P50, a.P95, a.P99, b.P50, b.P95, b.P99)
+			}
+			if !reflect.DeepEqual(a.Latencies, b.Latencies) {
+				t.Errorf("drain=%v %s latency streams diverged (%d vs %d values)", drain, a.Name, len(a.Latencies), len(b.Latencies))
+			}
+		}
+		if len(want.events) == 0 || len(want.outcomes) == 0 {
+			t.Fatalf("drain=%v: classic run observed nothing", drain)
+		}
+		if !reflect.DeepEqual(want.events, got.events) {
+			t.Errorf("drain=%v trace observer streams diverged (%d vs %d events)", drain, len(want.events), len(got.events))
+		}
+		if !reflect.DeepEqual(want.outcomes, got.outcomes) {
+			t.Errorf("drain=%v outcome observer streams diverged (%d vs %d events)", drain, len(want.outcomes), len(got.outcomes))
+		}
 	}
-	for ti := range classic.Tenants {
-		a, b := classic.Tenants[ti], sharded.Tenants[ti]
-		if a.Offered != b.Offered || a.Shed != b.Shed || a.Completed != b.Completed || a.InFlightEnd != b.InFlightEnd {
-			t.Errorf("%s counters diverged: classic %d/%d/%d/%d sharded %d/%d/%d/%d",
-				a.Name, a.Offered, a.Shed, a.Completed, a.InFlightEnd,
-				b.Offered, b.Shed, b.Completed, b.InFlightEnd)
+}
+
+// observedShardedDigest runs a drained three-rack sharded run with remote
+// placement and both observers set, and digests both streams plus every
+// rack's payload bytes.
+func observedShardedDigest(t *testing.T, parallel int) string {
+	t.Helper()
+	var obs observed
+	cfg := Config{Spec: resilientShardedSpec(), Duration: time.Second, Seed: 5, Drain: true}
+	obs.attach(&cfg)
+	g, racks := buildShardedRig(parallel, 3, 2, 1e8, 500*time.Microsecond)
+	defer g.Shutdown()
+	rep := RunSharded(g, racks, ShardedConfig{Config: cfg, RemoteFraction: 0.4})
+
+	var b strings.Builder
+	for _, rr := range rep.Racks {
+		for _, tr := range rr.Tenants {
+			if tr.InFlightEnd != 0 {
+				t.Errorf("drained run: %s/%s ended with %d in flight", rr.Name, tr.Name, tr.InFlightEnd)
+			}
+			if tr.Completed > 0 && tr.PayloadBytes == 0 {
+				t.Errorf("%s/%s completed %d requests but reports no payload", rr.Name, tr.Name, tr.Completed)
+			}
+			fmt.Fprintf(&b, "%s/%s:%016x ", rr.Name, tr.Name, math.Float64bits(tr.PayloadBytes))
 		}
-		if a.DeliveredBytes != b.DeliveredBytes {
-			t.Errorf("%s bytes diverged: classic %v sharded %v", a.Name, a.DeliveredBytes, b.DeliveredBytes)
+	}
+	var completed uint64
+	kinds := map[OutcomeKind]int{}
+	for _, tr := range rep.Tenants {
+		completed += tr.Completed
+	}
+	remote := 0
+	for _, ev := range obs.events {
+		if strings.Contains(ev.File, "/rem-") {
+			remote++
 		}
-		if a.P50 != b.P50 || a.P95 != b.P95 || a.P99 != b.P99 {
-			t.Errorf("%s quantiles diverged: classic %v/%v/%v sharded %v/%v/%v",
-				a.Name, a.P50, a.P95, a.P99, b.P50, b.P95, b.P99)
-		}
-		if !reflect.DeepEqual(a.Latencies, b.Latencies) {
-			t.Errorf("%s latency streams diverged (%d vs %d values)", a.Name, len(a.Latencies), len(b.Latencies))
-		}
+		fmt.Fprintf(&b, "\n%d %s %s %d %d %d %d %s", ev.At, ev.Tenant, ev.Op, ev.Bytes, ev.IO, ev.Latency, ev.Rank, ev.File)
+	}
+	for _, ev := range obs.outcomes {
+		kinds[ev.Kind]++
+		fmt.Fprintf(&b, "\n%d %s %s %d %d/%d", ev.At, ev.Tenant, ev.Kind, ev.Bytes, ev.Retries, ev.Hedges)
+	}
+	if uint64(len(obs.events)) != completed || kinds[OutcomeCompleted] != len(obs.events) {
+		t.Errorf("observers saw %d events and %d completions for %d completed requests",
+			len(obs.events), kinds[OutcomeCompleted], completed)
+	}
+	if remote == 0 {
+		t.Error("no forwarded request reached the trace observer")
+	}
+	if len(kinds) < 2 {
+		t.Errorf("outcome stream holds only %v: the congested rig should shed or miss deadlines", kinds)
+	}
+	return b.String()
+}
+
+// observedShardedSHA pins observedShardedDigest, so the streams must also
+// match across kernel builds (default, simreference, simsequential).
+const observedShardedSHA = "df447ac5d1740906020d3b98f80a80cf6c00da5052fd3ebc9289fd2fbdd36b8f"
+
+// TestShardedObserversLockstep: with remote placement coupling three
+// racks, both observer streams and every rack's payload bytes are
+// byte-identical whether the racks advance on one executor or two, and
+// the drained run leaves nothing in flight. make parallel-smoke runs it
+// under -race and under -tags simsequential.
+func TestShardedObserversLockstep(t *testing.T) {
+	want := observedShardedDigest(t, 1)
+	if got := observedShardedDigest(t, 2); got != want {
+		t.Fatalf("observer streams diverged between 1 and 2 executors (%d vs %d bytes)", len(want), len(got))
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(want))); sum != observedShardedSHA {
+		t.Fatalf("observer digest sha256 %s, pinned %s", sum, observedShardedSHA)
 	}
 }
 

@@ -3,11 +3,9 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"storagesim/internal/fsapi"
 	"storagesim/internal/sim"
-	"storagesim/internal/stats"
 	"storagesim/internal/trace"
 )
 
@@ -71,13 +69,6 @@ func workloadOp(k WorkloadKind) trace.Op {
 	}
 }
 
-// traceShard is the per-tenant×node slice of the recorded stream.
-type traceShard struct {
-	tenant string
-	node   int
-	events []trace.Event
-}
-
 // ReplayTrace re-issues the recorded stream against a storage system and
 // reports per-tenant outcomes in the same shape as Run. mount and fab work
 // exactly as in Run: one tagged mount per tenant×node. Events recording a
@@ -86,6 +77,10 @@ type traceShard struct {
 // ReplayTrace drives env itself and, unlike the windowed Run, drains: it
 // returns when every replayed request has completed, and the report's
 // Duration is the replay makespan (first issue to last completion).
+//
+// Replay is Run's engine with the recorded stream as the arrival source:
+// the same admission (the cap sheds under ShedAdmission), the same pooled
+// request bodies, the same accounting.
 func ReplayTrace(env *sim.Env, fab *sim.Fabric, nodes int, mount func(tenant string, node int) fsapi.Client, cfg TraceConfig) Report {
 	if cfg.Trace == nil || len(cfg.Trace.Events) == 0 {
 		panic("traffic: replay needs a non-empty trace")
@@ -100,12 +95,11 @@ func ReplayTrace(env *sim.Env, fab *sim.Fabric, nodes int, mount func(tenant str
 
 	// Partition the stream by tenant and node, preserving issue order.
 	tenants := cfg.Trace.TenantNames()
-	index := map[string]int{}
-	rr := map[string]int{}
-	for i, name := range tenants {
-		index[name] = i
+	parts := make(map[string][][]trace.Event, len(tenants))
+	for _, name := range tenants {
+		parts[name] = make([][]trace.Event, nodes)
 	}
-	shards := map[string]map[int]*traceShard{}
+	rr := map[string]int{}
 	for _, ev := range cfg.Trace.Events {
 		node := rr[ev.Tenant] % nodes
 		if ev.Rank >= 0 {
@@ -113,229 +107,25 @@ func ReplayTrace(env *sim.Env, fab *sim.Fabric, nodes int, mount func(tenant str
 		} else {
 			rr[ev.Tenant]++
 		}
-		byNode := shards[ev.Tenant]
-		if byNode == nil {
-			byNode = map[int]*traceShard{}
-			shards[ev.Tenant] = byNode
-		}
-		sh := byNode[node]
-		if sh == nil {
-			sh = &traceShard{tenant: ev.Tenant, node: node}
-			byNode[node] = sh
-		}
-		sh.events = append(sh.events, ev)
+		parts[ev.Tenant][node] = append(parts[ev.Tenant][node], ev)
 	}
 
-	states := make([]*tenantState, len(tenants))
+	eng := &engine{env: env, obs: cfg.Observer, ioDefault: ioBytes}
 	specs := make([]Tenant, len(tenants))
-	var end sim.Time
 	for i, name := range tenants {
 		specs[i] = Tenant{Name: name, MaxInflight: cfg.MaxInflight}
-		states[i] = &tenantState{
-			spec:     &specs[i],
-			capacity: cfg.MaxInflight,
-			sketch:   stats.NewSketch(cfg.SketchAlpha),
-			keep:     cfg.KeepLatencies,
-		}
-	}
-	for _, name := range tenants {
-		byNode := shards[name]
-		order := make([]int, 0, len(byNode))
-		for node := range byNode {
-			order = append(order, node)
-		}
-		sort.Ints(order)
-		st := states[index[name]]
-		for _, node := range order {
-			sh := byNode[node]
-			cl := mount(name, node)
-			if tg, ok := cl.(fsapi.FlowTagger); ok {
-				tg.SetFlowTag(name)
+		st := eng.addTenant(&specs[i], cfg.MaxInflight, cfg.SketchAlpha, cfg.KeepLatencies)
+		for node, events := range parts[name] {
+			if len(events) == 0 {
+				continue
 			}
-			launchTraceShard(env, st, cl, sh, ioBytes, cfg.Observer, &end)
+			eng.launch(st, tagged(mount(name, node), name), node, arrivals{events: events},
+				fmt.Sprintf("replay/%s/req%d", name, node), "/replay", nil)
 		}
 	}
 
 	env.Run()
-
-	rep := Report{Duration: end.Sub(0)}
-	for _, st := range states {
-		tr := TenantReport{
-			Name:         st.spec.Name,
-			Offered:      st.offered,
-			Shed:         st.shed,
-			Completed:    st.complete,
-			InFlightEnd:  st.inflight,
-			PayloadBytes: st.payload,
-			Sketch:       st.sketch,
-			Latencies:    st.lats,
-		}
-		if fab != nil {
-			tr.DeliveredBytes = fab.TagBytes(st.spec.Name)
-		}
-		tr.P50 = sketchDur(st.sketch, 50)
-		tr.P95 = sketchDur(st.sketch, 95)
-		tr.P99 = sketchDur(st.sketch, 99)
-		tr.SLOAttainment = math.NaN()
-		rep.Tenants = append(rep.Tenants, tr)
-	}
-	return rep
-}
-
-// launchTraceShard arms the dispatcher tick of one tenant×node shard of
-// the recorded stream.
-func launchTraceShard(env *sim.Env, st *tenantState, cl fsapi.Client, sh *traceShard, ioBytes int64, obs func(trace.Event), end *sim.Time) {
-	rs := &replayShard{
-		env:     env,
-		st:      st,
-		cl:      cl,
-		tr:      sh,
-		ioBytes: ioBytes,
-		obs:     obs,
-		end:     end,
-		reqName: fmt.Sprintf("replay/%s/req%d", sh.tenant, sh.node),
-	}
-	for i := range rs.paths {
-		rs.paths[i] = fmt.Sprintf("/replay/%s/n%d/f%d", sh.tenant, sh.node, i)
-	}
-	rs.fn = rs.tick
-	if len(sh.events) > 0 {
-		at := sh.events[0].At
-		if now := env.Now(); at < now {
-			at = now
-		}
-		env.AfterFunc(at.Sub(env.Now()), rs.fn)
-	}
-}
-
-// replayShard drives one tenant×node slice of the recorded stream: the
-// replay analog of reqShard — a batched dispatcher tick plus pooled request
-// records. Recorded streams carry timestamp ties (concurrent ranks), so the
-// tick's inner loop dispatches every event with at <= now before re-arming,
-// preserving the exact spawn order of the per-event dispatcher it replaced.
-type replayShard struct {
-	env     *sim.Env
-	st      *tenantState
-	cl      fsapi.Client
-	tr      *traceShard
-	ioBytes int64
-	obs     func(trace.Event)
-	end     *sim.Time
-	reqName string
-	paths   [reqFiles]string
-	reqIdx  uint64
-	pos     int
-	free    []*replayRec
-	fn      func()
-}
-
-func (sh *replayShard) tick() {
-	now := sh.env.Now()
-	for sh.pos < len(sh.tr.events) {
-		ev := sh.tr.events[sh.pos]
-		if ev.At > now {
-			sh.env.AfterFunc(ev.At.Sub(now), sh.fn)
-			return
-		}
-		sh.pos++
-		sh.handleArrival(ev)
-	}
-}
-
-func (sh *replayShard) handleArrival(ev trace.Event) {
-	st := sh.st
-	st.offered++
-	if st.capacity > 0 && st.inflight >= st.capacity {
-		st.shed++
-		return
-	}
-	st.inflight++
-	path := ev.File
-	if path == "" {
-		path = sh.paths[sh.reqIdx%reqFiles]
-	}
-	sh.reqIdx++
-	rec := sh.getRec()
-	rec.ev = ev
-	rec.path = path
-	sh.env.GoPooled(sh.reqName, rec.runFn)
-}
-
-// replayRec is the replay engine's pooled request lifecycle (no resilience
-// machinery: replayed requests run the baseline serve path).
-type replayRec struct {
-	sh    *replayShard
-	freed bool
-	ev    trace.Event
-	path  string
-	runFn func(rp *sim.Proc)
-}
-
-func (sh *replayShard) getRec() *replayRec {
-	if n := len(sh.free); n > 0 {
-		rec := sh.free[n-1]
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
-		rec.freed = false
-		return rec
-	}
-	rec := &replayRec{sh: sh}
-	rec.runFn = rec.run
-	return rec
-}
-
-func (rec *replayRec) run(rp *sim.Proc) {
-	sh := rec.sh
-	st := sh.st
-	start := rp.Now()
-	serveEvent(rp, sh.cl, rec.ev, sh.ioBytes, rec.path)
-	st.inflight--
-	st.complete++
-	st.payload += float64(rec.ev.Bytes)
-	lat := rp.Now().Sub(start)
-	st.sketch.Add(lat.Seconds())
-	if st.keep {
-		st.lats = append(st.lats, lat.Seconds())
-	}
-	if rp.Now() > *sh.end {
-		*sh.end = rp.Now()
-	}
-	if sh.obs != nil {
-		out := rec.ev
-		out.Latency = lat
-		out.Rank = sh.tr.node
-		out.File = rec.path
-		sh.obs(out)
-	}
-	if rec.freed {
-		panic("traffic: double release of pooled request record")
-	}
-	rec.freed = true
-	sh.free = append(sh.free, rec)
-}
-
-// serveEvent performs one recorded request's I/O on the tenant's mount.
-// The op size is the event's recorded IO when present, the replay default
-// otherwise, clamped to the request payload.
-func serveEvent(p *sim.Proc, cl fsapi.Client, ev trace.Event, ioBytes int64, path string) {
-	io := ioBytes
-	if ev.IO > 0 {
-		io = ev.IO
-	}
-	if ev.Bytes > 0 && ev.Bytes < io {
-		io = ev.Bytes
-	}
-	switch ev.Op {
-	case trace.OpWrite:
-		cl.StreamWrite(p, path, fsapi.Sequential, io, ev.Bytes)
-	case trace.OpRead:
-		cl.StreamRead(p, path, fsapi.Sequential, io, ev.Bytes)
-	case trace.OpRandRead:
-		cl.StreamRead(p, path, fsapi.Random, io, ev.Bytes)
-	case trace.OpMeta:
-		f := cl.Open(p, path, false)
-		f.Close(p)
-	}
+	return Report{Duration: eng.last.Sub(0), Tenants: eng.report(fab)}
 }
 
 // SpecFromTrace fits a stochastic tenant spec to a recorded stream: one

@@ -168,6 +168,11 @@ func TestReplayAdmission(t *testing.T) {
 	if capped.Completed+capped.Shed != capped.Offered || capped.InFlightEnd != 0 {
 		t.Fatalf("books don't balance after drain: %+v", capped)
 	}
+	// Every shed has a cause, as in the stochastic engine: here the cap.
+	if sum := capped.ShedAdmission + capped.ShedBrownout + capped.ShedBreaker + capped.DeadlineMiss; sum != capped.Shed || capped.ShedAdmission != capped.Shed {
+		t.Fatalf("shed %d split into admission %d + brownout %d + breaker %d + deadline %d",
+			capped.Shed, capped.ShedAdmission, capped.ShedBrownout, capped.ShedBreaker, capped.DeadlineMiss)
+	}
 	if open := burst(0); open.Shed != 0 || open.Completed != 30 {
 		t.Fatalf("uncapped replay shed: %+v", open)
 	}

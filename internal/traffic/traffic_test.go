@@ -273,3 +273,31 @@ func TestMillionClientsBounded(t *testing.T) {
 		t.Fatalf("goroutine peak %d over baseline %d — per-client processes?", peak, baseline)
 	}
 }
+
+// TestConfigValidate: every malformed run configuration is an error before
+// it can reach an engine panic.
+func TestConfigValidate(t *testing.T) {
+	ok := Config{Spec: twoTenantSpec(), Duration: time.Second}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	if err := (ShardedConfig{Config: ok, RemoteFraction: 1}).Validate(); err != nil {
+		t.Fatalf("valid sharded config rejected: %v", err)
+	}
+	bad := map[string]ShardedConfig{
+		"empty spec":    {Config: Config{Duration: time.Second}},
+		"zero duration": {Config: Config{Spec: ok.Spec}},
+		"negative load": {Config: Config{Spec: ok.Spec, Duration: time.Second, LoadScale: -1}},
+		"NaN load":      {Config: Config{Spec: ok.Spec, Duration: time.Second, LoadScale: math.NaN()}},
+		"infinite load": {Config: Config{Spec: ok.Spec, Duration: time.Second, LoadScale: math.Inf(1)}},
+		"sketch alpha":  {Config: Config{Spec: ok.Spec, Duration: time.Second, SketchAlpha: 1}},
+		"remote > 1":    {Config: ok, RemoteFraction: 1.5},
+		"remote < 0":    {Config: ok, RemoteFraction: -0.1},
+		"NaN remote":    {Config: ok, RemoteFraction: math.NaN()},
+	}
+	for name, cfg := range bad {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
