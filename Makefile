@@ -28,7 +28,8 @@ race:
 		./internal/faults/... ./internal/vast/... ./internal/repair/... \
 		./internal/traffic/... ./internal/trace/... ./internal/fidelity/... \
 		./internal/resilience/... ./internal/configsearch/... \
-		./internal/surrogate/...
+		./internal/surrogate/... ./internal/gpfs/... ./internal/lustre/... \
+		./internal/unifyfs/... ./internal/nvmelocal/...
 	$(GO) test -race -tags simreference ./internal/sim/
 
 # The -tags simreference build swaps the DES kernel's calendar queue for the

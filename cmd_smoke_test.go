@@ -5,6 +5,7 @@ package storagesim_test
 // rendering regressions that unit tests of the libraries cannot.
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -122,6 +123,28 @@ func TestCommandsSmoke(t *testing.T) {
 	runFail(t, filepath.Join(dir, "trafficbench"), "remote fraction", "-racks", "2", "-remote", "1.5")
 	runFail(t, filepath.Join(dir, "trafficbench"), "positive duration", "-duration", "0")
 	runFail(t, filepath.Join(dir, "tracereplay"), "-record is not supported", "-record", "-racks", "2")
+
+	// A fault schedule that takes every server of a deployment down is
+	// refused at the last healthy one: an error and exit 1, never a panic.
+	// trafficbench gives each tenant its own node-local allocation, which
+	// grows the NVMe failure domain past the two benchmark nodes, so its
+	// case fails every CNode of a 2-node VAST deployment instead.
+	allDown := func(name string, servers int) string {
+		var events []string
+		for i := 0; i < servers; i++ {
+			events = append(events, fmt.Sprintf(`{"at":"%dms","kind":"server-fail","index":%d}`, i+1, i))
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(`{"events":[`+strings.Join(events, ",")+`]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	runFail(t, filepath.Join(dir, "iorbench"), "cannot fail the last healthy node",
+		"-machine", "Wombat", "-fs", "nvme", "-nodes", "2", "-faults", allDown("nvme-down.json", 2))
+	runFail(t, filepath.Join(dir, "trafficbench"), "cannot fail the last healthy CNode",
+		"-machine", "Wombat", "-fs", "vast", "-nodes", "2", "-duration", "200ms",
+		"-faults", allDown("vast-down.json", 8))
 	runFail(t, filepath.Join(dir, "tracereplay"), "-audit is not supported",
 		"-trace", "internal/experiments/testdata/fidelity_trace.jsonl", "-racks", "2", "-audit")
 

@@ -68,6 +68,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// A fail the deployment refused (its last healthy CNode) is
+		// reported here, after the run.
+		if err := inj.Err(); err != nil {
+			log.Fatal(err)
+		}
 
 		fmt.Printf("%-8s write %6.2f GB/s in %v\n", run.name, res.WriteBW/1e9, res.WriteTime)
 		for _, a := range inj.Applied() {

@@ -10,7 +10,6 @@ import (
 	"storagesim/internal/ior"
 	"storagesim/internal/repair"
 	"storagesim/internal/repair/chaos"
-	"storagesim/internal/vast"
 )
 
 // Chaos fuzzing gate: randomized fault storms against every backend with
@@ -20,18 +19,23 @@ import (
 // the run and the report digest byte-for-byte; `make chaos-smoke` pins
 // three seeds per backend.
 
-// ChaosReport is the outcome of one seeded storm.
-type ChaosReport struct {
-	Backend      string
-	Machine      string
-	Seed         uint64
+// StormOutcome is one seeded storm's repair and invariant accounting.
+type StormOutcome struct {
 	Delivered    int // fault events actually delivered
-	WriteBW      float64
 	LostBytes    float64
 	RebuiltBytes float64
 	Losses       int
 	Rebuilds     int
 	Violations   []string
+}
+
+// ChaosReport is the outcome of one seeded storm.
+type ChaosReport struct {
+	Backend string
+	Machine string
+	Seed    uint64
+	WriteBW float64
+	StormOutcome
 }
 
 // Digest renders the run's observable outcome with full float bit
@@ -56,10 +60,61 @@ func chaosMachine(fs FS) (string, error) {
 	return "", fmt.Errorf("experiments: no chaos machine for %q", fs)
 }
 
+// chaosRig is one backend under a seeded storm: the repair manager the
+// storm is armed on, its injector, and the invariant checker.
+type chaosRig struct {
+	mgr     *repair.Manager
+	inj     *faults.Injector
+	checker *invariants.Checker
+}
+
+// armChaos draws the seeded storm for tb's backend — server and unit
+// counts come from the backend itself — arms it on a repair.Manager, and
+// attaches the invariant checker with the rebuild-completes-or-reports-loss
+// final check. Call before the foreground runs.
+func armChaos(tb *testbed, fs FS, seed uint64) (chaosRig, error) {
+	storm := chaos.Storm(seed, chaos.Profile{
+		Target:          string(fs),
+		Servers:         tb.target.FaultServers(),
+		Units:           tb.target.FaultUnits(),
+		UnitsAreServers: tb.target.RepairScheme().ServersHoldData,
+		Horizon:         30 * time.Millisecond,
+		Events:          12,
+	})
+	mgr, inj, err := armRepair(tb, fs, storm, repair.QoS{MinBytes: 32 << 20})
+	if err != nil {
+		return chaosRig{}, err
+	}
+	checker := invariants.Attach(tb.env, tb.fab, 250*time.Microsecond)
+	checker.Final("rebuild-completes-or-reports-loss", mgr.CheckComplete)
+	return chaosRig{mgr: mgr, inj: inj, checker: checker}, nil
+}
+
+// outcome reports the storm after the run, with the final checks folded
+// into the violations. A storm event the backend refused and a checker
+// that never sampled are errors: either would let the gate pass without
+// having tested anything.
+func (r chaosRig) outcome() (StormOutcome, error) {
+	if err := r.inj.Err(); err != nil {
+		return StormOutcome{}, err
+	}
+	if r.checker.Samples() == 0 {
+		return StormOutcome{}, fmt.Errorf("experiments: chaos checker never sampled")
+	}
+	r.checker.Err()
+	return StormOutcome{
+		Delivered:    len(r.inj.Applied()),
+		LostBytes:    r.mgr.LostBytes(),
+		RebuiltBytes: r.mgr.RebuiltBytes(),
+		Losses:       len(r.mgr.Losses()),
+		Rebuilds:     len(r.mgr.Jobs()),
+		Violations:   r.checker.Violations(),
+	}, nil
+}
+
 // RunChaosStorm generates the seeded storm for fs's canonical deployment,
 // wraps the backend in a repair.Manager, attaches the invariant checker
-// and runs an op-level IOR foreground through it. Storm generation is
-// profile-driven: server and unit counts come from the backend itself.
+// and runs an op-level IOR foreground through it.
 func RunChaosStorm(fs FS, seed uint64, opts Options) (ChaosReport, error) {
 	opts = opts.withDefaults()
 	machine, err := chaosMachine(fs)
@@ -70,27 +125,10 @@ func RunChaosStorm(fs FS, seed uint64, opts Options) (ChaosReport, error) {
 	if err != nil {
 		return ChaosReport{}, err
 	}
-	prot, ok := tb.target.(repair.Protected)
-	if !ok {
-		return ChaosReport{}, fmt.Errorf("experiments: %s target declares no redundancy scheme", fs)
-	}
-	scheme := prot.RepairScheme()
-	storm := chaos.Storm(seed, chaos.Profile{
-		Target:          string(fs),
-		Servers:         prot.FaultServers(),
-		Units:           prot.FaultUnits(),
-		UnitsAreServers: scheme.ServersHoldData,
-		Horizon:         30 * time.Millisecond,
-		Events:          12,
-	})
-	mgr := repair.NewManager(tb.env, tb.fab, prot, repair.QoS{MinBytes: 32 << 20})
-	inj := faults.NewInjector(tb.env)
-	inj.Register(string(fs), mgr)
-	if err := inj.Apply(storm); err != nil {
+	rig, err := armChaos(tb, fs, seed)
+	if err != nil {
 		return ChaosReport{}, err
 	}
-	checker := invariants.Attach(tb.env, tb.fab, 250*time.Microsecond)
-	checker.Final("rebuild-completes-or-reports-loss", mgr.CheckComplete)
 	cfg := ior.Config{
 		Workload:     ior.Scientific,
 		BlockSize:    1 << 20,
@@ -101,10 +139,9 @@ func RunChaosStorm(fs FS, seed uint64, opts Options) (ChaosReport, error) {
 		Seed:         opts.Seed + seed,
 		Dir:          "/chaos",
 	}
-	if tb.vast != nil {
+	if sys := tb.vast; sys != nil {
 		written := int64(2*cfg.ProcsPerNode) * cfg.BlockSize * int64(cfg.Segments)
-		sys := tb.vast
-		checker.Final("byte-conservation", invariants.ConserveBytes(
+		rig.checker.Final("byte-conservation", invariants.ConserveBytes(
 			func() int64 { return written },
 			func() int64 { return sys.StagedBytes() + sys.MigratedBytes() }))
 	}
@@ -112,26 +149,13 @@ func RunChaosStorm(fs FS, seed uint64, opts Options) (ChaosReport, error) {
 	if err != nil {
 		return ChaosReport{}, err
 	}
-	if checker.Samples() == 0 {
-		return ChaosReport{}, fmt.Errorf("experiments: chaos checker never sampled")
+	out, err := rig.outcome()
+	if err != nil {
+		return ChaosReport{}, err
 	}
-	checker.Err() // fold final checks into Violations
-	return ChaosReport{
-		Backend:      string(fs),
-		Machine:      machine,
-		Seed:         seed,
-		Delivered:    len(inj.Applied()),
-		WriteBW:      res.WriteBW,
-		LostBytes:    mgr.LostBytes(),
-		RebuiltBytes: mgr.RebuiltBytes(),
-		Losses:       len(mgr.Losses()),
-		Rebuilds:     len(mgr.Jobs()),
-		Violations:   checker.Violations(),
-	}, nil
+	return ChaosReport{Backend: string(fs), Machine: machine, Seed: seed,
+		WriteBW: res.WriteBW, StormOutcome: out}, nil
 }
 
 // ChaosBackends lists every deployment the gate covers.
 func ChaosBackends() []FS { return []FS{VAST, GPFS, Lustre, NVMe, UnifyFS} }
-
-// Interface check: the conservation hook needs the concrete VAST system.
-var _ = (*vast.System)(nil)

@@ -18,22 +18,37 @@ import (
 // on it (the whole deployment registers under the fs name, so schedules
 // may leave "target" empty), and runs one IOR configuration. It returns
 // the result and the events actually delivered — the entry point for
-// cmd/iorbench's -faults flag.
+// cmd/iorbench's -faults flag. A schedule event the backend refuses
+// (failing its last healthy server) is returned as the error.
 func RunIORWithFaults(machine string, fs FS, nodes int, cfg ior.Config, sched faults.Schedule) (ior.Result, []faults.Applied, error) {
 	tb, err := buildTestbed(machine, fs, nodes, nil)
 	if err != nil {
 		return ior.Result{}, nil, err
 	}
-	inj := faults.NewInjector(tb.env)
-	inj.Register(string(fs), tb.target)
-	if err := inj.Apply(sched); err != nil {
+	inj, err := injectFaults(tb, string(fs), tb.target, sched)
+	if err != nil {
 		return ior.Result{}, nil, err
 	}
 	res, err := ior.Run(tb.env, tb.mounts, cfg)
+	if err == nil {
+		err = inj.Err()
+	}
 	if err != nil {
 		return ior.Result{}, nil, err
 	}
 	return res, inj.Applied(), nil
+}
+
+// injectFaults registers target under name with a fresh injector on tb's
+// env and arms sched. A fail the target refuses surfaces after the run as
+// the injector's Err.
+func injectFaults(tb *testbed, name string, target faults.Target, sched faults.Schedule) (*faults.Injector, error) {
+	inj := faults.NewInjector(tb.env)
+	inj.Register(name, target)
+	if err := inj.Apply(sched); err != nil {
+		return nil, err
+	}
+	return inj, nil
 }
 
 // DegradedSweep sweeps the fraction of failed servers and reports the

@@ -51,11 +51,12 @@ func failoverPoint(failures int, opts Options) (bw float64, healthy int, err err
 	if sys == nil {
 		return 0, 0, fmt.Errorf("experiments: failover study needs a VAST testbed")
 	}
+	var refused error
 	if failures > 0 {
 		tb.env.Go("chaos", func(p *sim.Proc) {
 			p.Sleep(10 * time.Millisecond)
-			for i := 0; i < failures; i++ {
-				sys.FailCNode(i)
+			for i := 0; i < failures && refused == nil; i++ {
+				refused = sys.FailCNode(i)
 			}
 		})
 	}
@@ -73,6 +74,9 @@ func failoverPoint(failures int, opts Options) (bw float64, healthy int, err err
 		Seed:         opts.Seed,
 		Dir:          "/ha",
 	})
+	if err == nil {
+		err = refused
+	}
 	if err != nil {
 		return 0, 0, err
 	}

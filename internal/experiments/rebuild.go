@@ -40,17 +40,19 @@ func buildRepairTestbed(machine string, fs FS, nodes int, sched faults.Schedule,
 	if err != nil {
 		return nil, nil, err
 	}
-	prot, ok := tb.target.(repair.Protected)
-	if !ok {
-		return nil, nil, fmt.Errorf("experiments: %s target declares no redundancy scheme", fs)
-	}
-	mgr := repair.NewManager(tb.env, tb.fab, prot, qos)
-	inj := faults.NewInjector(tb.env)
-	inj.Register(string(fs), mgr)
-	if err := inj.Apply(sched); err != nil {
+	mgr, _, err := armRepair(tb, fs, sched, qos)
+	if err != nil {
 		return nil, nil, err
 	}
 	return tb, mgr, nil
+}
+
+// armRepair wraps tb's backend in a repair.Manager with the given rebuild
+// QoS and arms sched on the manager, registered under the fs name.
+func armRepair(tb *testbed, fs FS, sched faults.Schedule, qos repair.QoS) (*repair.Manager, *faults.Injector, error) {
+	mgr := repair.NewManager(tb.env, tb.fab, tb.target, qos)
+	inj, err := injectFaults(tb, string(fs), mgr, sched)
+	return mgr, inj, err
 }
 
 // Rebuild sweep tuning. The figure runs VAST on Wombat — the sharpest

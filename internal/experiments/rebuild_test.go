@@ -247,7 +247,7 @@ func TestBeyondToleranceReportsLoss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tol := tbProbe.target.(repair.Protected).RepairScheme().Tolerance
+			tol := tbProbe.target.RepairScheme().Tolerance
 			// tol+1 simultaneous failures mid-run: the rebuilds started for
 			// the first tol units are nowhere near done, so the last failure
 			// exceeds the concurrent-loss budget.

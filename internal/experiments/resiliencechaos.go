@@ -5,12 +5,8 @@ import (
 	"math"
 	"time"
 
-	"storagesim/internal/faults"
-	"storagesim/internal/faults/invariants"
 	"storagesim/internal/fsapi"
 	"storagesim/internal/netsim"
-	"storagesim/internal/repair"
-	"storagesim/internal/repair/chaos"
 	"storagesim/internal/resilience"
 	"storagesim/internal/traffic"
 )
@@ -26,16 +22,11 @@ import (
 
 // ResilienceChaosReport is the outcome of one seeded resilient storm.
 type ResilienceChaosReport struct {
-	Backend      string
-	Machine      string
-	Seed         uint64
-	Delivered    int // fault events actually delivered
-	LostBytes    float64
-	RebuiltBytes float64
-	Losses       int
-	Rebuilds     int
-	Violations   []string
-	Traffic      traffic.Report
+	Backend string
+	Machine string
+	Seed    uint64
+	StormOutcome
+	Traffic traffic.Report
 }
 
 // Digest renders the run's observable outcome — repair accounting plus
@@ -110,27 +101,10 @@ func RunResilienceChaosStorm(fs FS, seed uint64, opts Options) (ResilienceChaosR
 	if err != nil {
 		return ResilienceChaosReport{}, err
 	}
-	prot, ok := tb.target.(repair.Protected)
-	if !ok {
-		return ResilienceChaosReport{}, fmt.Errorf("experiments: %s target declares no redundancy scheme", fs)
-	}
-	scheme := prot.RepairScheme()
-	storm := chaos.Storm(seed, chaos.Profile{
-		Target:          string(fs),
-		Servers:         prot.FaultServers(),
-		Units:           prot.FaultUnits(),
-		UnitsAreServers: scheme.ServersHoldData,
-		Horizon:         30 * time.Millisecond,
-		Events:          12,
-	})
-	mgr := repair.NewManager(tb.env, tb.fab, prot, repair.QoS{MinBytes: 32 << 20})
-	inj := faults.NewInjector(tb.env)
-	inj.Register(string(fs), mgr)
-	if err := inj.Apply(storm); err != nil {
+	rig, err := armChaos(tb, fs, seed)
+	if err != nil {
 		return ResilienceChaosReport{}, err
 	}
-	checker := invariants.Attach(tb.env, tb.fab, 250*time.Microsecond)
-	checker.Final("rebuild-completes-or-reports-loss", mgr.CheckComplete)
 	mount := func(tenant string, node int) fsapi.Client {
 		return tb.mount(tb.cl.Node(node).Name+"/"+tenant, node)
 	}
@@ -139,20 +113,10 @@ func RunResilienceChaosStorm(fs FS, seed uint64, opts Options) (ResilienceChaosR
 		Duration: 50 * time.Millisecond,
 		Seed:     opts.Seed + seed,
 	})
-	if checker.Samples() == 0 {
-		return ResilienceChaosReport{}, fmt.Errorf("experiments: resilience chaos checker never sampled")
+	out, err := rig.outcome()
+	if err != nil {
+		return ResilienceChaosReport{}, err
 	}
-	checker.Err() // fold final checks into Violations
-	return ResilienceChaosReport{
-		Backend:      string(fs),
-		Machine:      machine,
-		Seed:         seed,
-		Delivered:    len(inj.Applied()),
-		LostBytes:    mgr.LostBytes(),
-		RebuiltBytes: mgr.RebuiltBytes(),
-		Losses:       len(mgr.Losses()),
-		Rebuilds:     len(mgr.Jobs()),
-		Violations:   checker.Violations(),
-		Traffic:      trep,
-	}, nil
+	return ResilienceChaosReport{Backend: string(fs), Machine: machine, Seed: seed,
+		StormOutcome: out, Traffic: trep}, nil
 }

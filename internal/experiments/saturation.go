@@ -23,7 +23,8 @@ import (
 // tenant-qualified names, so shared deployments (VAST, GPFS, Lustre) give
 // every tenant its own client stack into the common servers, while
 // node-local deployments (NVMe, UnifyFS) give each tenant a private
-// allocation — the burst-buffer-per-job model.
+// allocation — the burst-buffer-per-job model. A schedule event the
+// backend refuses is returned as the error.
 func RunTrafficWithFaults(machine string, fs FS, nodes int, cfg traffic.Config, sched faults.Schedule) (traffic.Report, []faults.Applied, error) {
 	if err := cfg.Validate(); err != nil {
 		return traffic.Report{}, nil, err
@@ -32,15 +33,17 @@ func RunTrafficWithFaults(machine string, fs FS, nodes int, cfg traffic.Config, 
 	if err != nil {
 		return traffic.Report{}, nil, err
 	}
-	inj := faults.NewInjector(tb.env)
-	inj.Register(string(fs), tb.target)
-	if err := inj.Apply(sched); err != nil {
+	inj, err := injectFaults(tb, string(fs), tb.target, sched)
+	if err != nil {
 		return traffic.Report{}, nil, err
 	}
 	mount := func(tenant string, node int) fsapi.Client {
 		return tb.mount(tb.cl.Node(node).Name+"/"+tenant, node)
 	}
 	rep := traffic.Run(tb.env, tb.fab, nodes, mount, cfg)
+	if err := inj.Err(); err != nil {
+		return traffic.Report{}, nil, err
+	}
 	return rep, inj.Applied(), nil
 }
 

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"storagesim/internal/cluster"
-	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
+	"storagesim/internal/repair"
 	"storagesim/internal/sim"
 	"storagesim/internal/vast"
 )
@@ -41,9 +41,9 @@ type testbed struct {
 	// vast holds the VAST system when the testbed is a VAST deployment
 	// (failover and staging studies need the concrete type).
 	vast *vast.System
-	// target is the deployment as a fault-injection target (every backend
-	// implements faults.Target).
-	target faults.Target
+	// target is the deployment as a fault-injection target with its
+	// rebuild hooks (every backend implements repair.Protected).
+	target repair.Protected
 }
 
 // buildTestbed instantiates machine+fs with n nodes. mutateVAST, when

@@ -581,7 +581,7 @@ func (e *whatIfExplorer) measureBatch(cs []configsearch.Candidate) ([]configsear
 
 // measure runs one candidate through the traffic engine.
 func (e *whatIfExplorer) measure(c configsearch.Candidate) (configsearch.Metrics, error) {
-	tb, err := e.buildCandidate(c)
+	tb, inj, err := e.buildCandidate(c)
 	if err != nil {
 		return configsearch.Metrics{}, fmt.Errorf("whatif: build %s: %w", c, err)
 	}
@@ -593,6 +593,9 @@ func (e *whatIfExplorer) measure(c configsearch.Candidate) (configsearch.Metrics
 		Duration: e.window,
 		Seed:     e.cfg.Seed,
 	})
+	if err := inj.Err(); err != nil {
+		return configsearch.Metrics{}, fmt.Errorf("whatif: run %s: %w", c, err)
+	}
 	var m configsearch.Metrics
 	merged := stats.NewSketch(0)
 	for _, tr := range rep.Tenants {
@@ -626,38 +629,35 @@ func (e *whatIfExplorer) specFor(c configsearch.Candidate) traffic.Spec {
 
 // buildCandidate instantiates the candidate's testbed, mutating the VAST
 // config for the vast-specific knobs and arming the space's fault
-// scenario (through a repair manager when the backend is protected and
-// the candidate names a rebuild QoS).
-func (e *whatIfExplorer) buildCandidate(c configsearch.Candidate) (*testbed, error) {
+// scenario (through a repair manager when the candidate names a rebuild
+// QoS). The injector is armed, with an empty schedule when the space has
+// no fault, so the caller can check it for a refused event after the run.
+func (e *whatIfExplorer) buildCandidate(c configsearch.Candidate) (*testbed, *faults.Injector, error) {
 	var mutate func(*vast.Config)
 	if c.Backend == "vast" && e.cfg.Space.Machine == "Wombat" {
 		mutate = func(v *vast.Config) { mutateVASTCandidate(v, c) }
 	}
 	tb, err := buildTestbed(e.cfg.Space.Machine, FS(c.Backend), c.Nodes, mutate)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	f := e.cfg.Space.Fault
-	if f == nil {
-		return tb, nil
+	var sched faults.Schedule
+	if f := e.cfg.Space.Fault; f != nil {
+		sched.Events = []faults.Event{{At: f.At, Kind: faults.Kind(f.Kind), Index: f.Index, Factor: f.Factor}}
 	}
-	sched := faults.Schedule{Events: []faults.Event{{
-		At: f.At, Kind: faults.Kind(f.Kind), Index: f.Index, Factor: f.Factor,
-	}}}
-	inj := faults.NewInjector(tb.env)
-	if prot, ok := tb.target.(repair.Protected); ok && c.RepairQoS != "" {
+	var target faults.Target = tb.target
+	if c.RepairQoS != "" {
 		qos := repair.QoS{MinBytes: rebuildFloorBytes}
 		if c.RepairQoS == configsearch.QoSThrottled {
 			qos.RateBps = rebuildThrottleBps
 		}
-		inj.Register(c.Backend, repair.NewManager(tb.env, tb.fab, prot, qos))
-	} else {
-		inj.Register(c.Backend, tb.target)
+		target = repair.NewManager(tb.env, tb.fab, tb.target, qos)
 	}
-	if err := inj.Apply(sched); err != nil {
-		return nil, err
+	inj, err := injectFaults(tb, c.Backend, target, sched)
+	if err != nil {
+		return nil, nil, err
 	}
-	return tb, nil
+	return tb, inj, nil
 }
 
 // mutateVASTCandidate applies the candidate's vast knobs to the Wombat

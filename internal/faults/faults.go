@@ -14,6 +14,13 @@
 // deployment) and delivers each event at its virtual time. Schedules can
 // be built in code or parsed from JSON (see schedule.go), so experiment
 // harnesses and the iorbench CLI share one format.
+//
+// Every backend keeps each of its failable pools in a Domain (domain.go):
+// one model of which members are down, how far each failed member is
+// rebuilt, and what share of the pool's capacity survives. A Domain
+// refuses to fail its last healthy member; the refusal travels back
+// through Target's fail methods to the Injector, which records the first
+// one (Injector.Err) instead of letting a schedule panic the run.
 package faults
 
 import (
@@ -45,8 +52,7 @@ const (
 	MediaRestore Kind = "media-restore"
 	// UnitFail takes redundancy unit Index out of service: the granularity
 	// data protection works at (a VAST DBox enclosure, a GPFS NSD server's
-	// RAID array, an OSS's OSTs, a burst-buffer node's SSD). Only targets
-	// implementing UnitTarget accept it.
+	// RAID array, an OSS's OSTs, a burst-buffer node's SSD).
 	UnitFail Kind = "unit-fail"
 	// UnitRecover returns a failed redundancy unit to service.
 	UnitRecover Kind = "unit-recover"
@@ -152,41 +158,39 @@ func (s Schedule) Sorted() Schedule {
 }
 
 // Target is a storage backend that can take faults. Each backend package
-// implements it on its System type; the experiment harness registers them
-// with an Injector under the deployment's name.
+// implements it on its System type (keeping its pools' state in Domains),
+// and internal/repair's Manager implements it on top of a backend; the
+// experiment harness registers one with an Injector under the
+// deployment's name.
+//
+// Servers are the failable request-serving machines; units are the
+// redundancy units data protection works at, which are not always the
+// servers (a VAST CNode is stateless; its unit is the DBox enclosure).
+// The fail methods refuse — with an error, changing nothing — to take the
+// last healthy member of a pool down.
 type Target interface {
 	// FaultServers returns how many individually failable servers the
 	// backend has (CNodes, NSD servers, OSSes, nodes).
 	FaultServers() int
 	// FailServer takes server i out of service.
-	FailServer(i int)
+	FailServer(i int) error
 	// RecoverServer returns a failed server to service; recovering a
 	// healthy server is a no-op.
 	RecoverServer(i int)
-	// SetLinkHealth derates the backend's network links to fraction f of
-	// nominal capacity (1 restores, 0 parks).
-	SetLinkHealth(f float64)
-	// SetMediaHealth derates the backend's storage media to fraction f.
-	SetMediaHealth(f float64)
-}
-
-// UnitTarget is a Target whose storage is organized into failable
-// redundancy units — the granularity data protection works at, which is
-// not always the server granularity (a VAST CNode is stateless; the unit
-// is the DBox enclosure behind it). Backends implement it to accept
-// UnitFail/UnitRecover events; internal/repair layers rebuild jobs and
-// loss accounting on top of the same interface.
-type UnitTarget interface {
-	Target
 	// FaultUnits returns how many individually failable redundancy units
 	// the backend has.
 	FaultUnits() int
 	// FailUnit takes unit i out of service (media loss: the enclosure, the
 	// RAID array, the node's SSD).
-	FailUnit(i int)
+	FailUnit(i int) error
 	// RecoverUnit returns a failed unit to service at full nominal
 	// capacity; recovering a healthy unit is a no-op.
 	RecoverUnit(i int)
+	// SetLinkHealth derates the backend's network links to fraction f of
+	// nominal capacity (1 restores, 0 parks).
+	SetLinkHealth(f float64)
+	// SetMediaHealth derates the backend's storage media to fraction f.
+	SetMediaHealth(f float64)
 }
 
 // Applied is one delivered event, recorded for tests and reports.
@@ -207,6 +211,7 @@ type Injector struct {
 	targets map[string]Target
 	order   []string // registration order, for deterministic error text
 	applied []Applied
+	err     error // first refused event
 }
 
 // NewInjector returns an injector bound to env.
@@ -229,8 +234,14 @@ func (in *Injector) Register(name string, t Target) {
 // Targets returns the registered names in registration order.
 func (in *Injector) Targets() []string { return append([]string(nil), in.order...) }
 
-// Applied returns the events delivered so far, in delivery order.
+// Applied returns the events delivered so far, in delivery order. A
+// refused event is not among them.
 func (in *Injector) Applied() []Applied { return in.applied }
+
+// Err returns the first event a target refused (failing the last healthy
+// member of a pool), or nil. Delivery goes on past a refusal, so the run
+// completes; callers report Err once it has.
+func (in *Injector) Err() error { return in.err }
 
 // resolve maps an event's target name to the registered Target.
 func (in *Injector) resolve(ev Event) (Target, error) {
@@ -263,14 +274,9 @@ func (in *Injector) Apply(s Schedule) error {
 			return fmt.Errorf("event %d: %w", i, err)
 		}
 		if ev.Kind.needsUnits() {
-			ut, ok := t.(UnitTarget)
-			if !ok {
-				return fmt.Errorf("event %d: %s target %q has no redundancy units",
-					i, ev.Kind, ev.Target)
-			}
-			if ev.Index >= ut.FaultUnits() {
+			if ev.Index >= t.FaultUnits() {
 				return fmt.Errorf("event %d: %s index %d out of range (target has %d units)",
-					i, ev.Kind, ev.Index, ut.FaultUnits())
+					i, ev.Kind, ev.Index, t.FaultUnits())
 			}
 		} else if ev.Kind.needsIndex() && ev.Index >= t.FaultServers() {
 			return fmt.Errorf("event %d: %s index %d out of range (target has %d servers)",
@@ -288,11 +294,13 @@ func (in *Injector) Apply(s Schedule) error {
 	return nil
 }
 
-// deliver executes one event against its target and logs it.
+// deliver executes one event against its target and logs it, or records
+// the target's refusal.
 func (in *Injector) deliver(t Target, ev Event) {
+	var err error
 	switch ev.Kind {
 	case ServerFail:
-		t.FailServer(ev.Index)
+		err = t.FailServer(ev.Index)
 	case ServerRecover:
 		t.RecoverServer(ev.Index)
 	case LinkDerate:
@@ -304,9 +312,16 @@ func (in *Injector) deliver(t Target, ev Event) {
 	case MediaRestore:
 		t.SetMediaHealth(1)
 	case UnitFail:
-		t.(UnitTarget).FailUnit(ev.Index) // asserted at Apply
+		err = t.FailUnit(ev.Index)
 	case UnitRecover:
-		t.(UnitTarget).RecoverUnit(ev.Index)
+		t.RecoverUnit(ev.Index)
 	}
-	in.applied = append(in.applied, Applied{At: in.env.Now(), Event: ev})
+	a := Applied{At: in.env.Now(), Event: ev}
+	if err != nil {
+		if in.err == nil {
+			in.err = fmt.Errorf("faults: %v refused: %w", a, err)
+		}
+		return
+	}
+	in.applied = append(in.applied, a)
 }

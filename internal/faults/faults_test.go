@@ -2,6 +2,7 @@ package faults
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -9,27 +10,30 @@ import (
 	"storagesim/internal/sim"
 )
 
-// fakeTarget records the calls delivered to it.
+// fakeTarget records the calls delivered to it. A fail call on an index
+// in refuse is refused: recorded, but answered with an error.
 type fakeTarget struct {
-	servers int
-	calls   []string
+	servers, units int
+	refuse         map[int]bool
+	calls          []string
 }
 
 func (f *fakeTarget) FaultServers() int        { return f.servers }
-func (f *fakeTarget) FailServer(i int)         { f.calls = append(f.calls, "fail", itoa(i)) }
+func (f *fakeTarget) FailServer(i int) error   { return f.fail("fail", i) }
 func (f *fakeTarget) RecoverServer(i int)      { f.calls = append(f.calls, "recover", itoa(i)) }
+func (f *fakeTarget) FaultUnits() int          { return f.units }
+func (f *fakeTarget) FailUnit(i int) error     { return f.fail("unit-fail", i) }
+func (f *fakeTarget) RecoverUnit(i int)        { f.calls = append(f.calls, "unit-recover", itoa(i)) }
 func (f *fakeTarget) SetLinkHealth(v float64)  { f.calls = append(f.calls, "link", ftoa(v)) }
 func (f *fakeTarget) SetMediaHealth(v float64) { f.calls = append(f.calls, "media", ftoa(v)) }
 
-// fakeUnitTarget adds redundancy units to fakeTarget.
-type fakeUnitTarget struct {
-	fakeTarget
-	units int
+func (f *fakeTarget) fail(call string, i int) error {
+	f.calls = append(f.calls, call, itoa(i))
+	if f.refuse[i] {
+		return errors.New("cannot fail the last healthy member")
+	}
+	return nil
 }
-
-func (f *fakeUnitTarget) FaultUnits() int   { return f.units }
-func (f *fakeUnitTarget) FailUnit(i int)    { f.calls = append(f.calls, "unit-fail", itoa(i)) }
-func (f *fakeUnitTarget) RecoverUnit(i int) { f.calls = append(f.calls, "unit-recover", itoa(i)) }
 
 func itoa(i int) string     { return string(rune('0' + i)) }
 func ftoa(v float64) string { return string(rune('0' + int(v*10))) }
@@ -167,13 +171,8 @@ func TestInjectorValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("out-of-range index accepted: %v", err)
 	}
-	// Unit events against a target without redundancy units.
-	err = inj.Apply(Schedule{Events: []Event{{Kind: UnitFail, Target: "a", Index: 0}}})
-	if err == nil || !strings.Contains(err.Error(), "no redundancy units") {
-		t.Fatalf("unit-fail on unitless target accepted: %v", err)
-	}
 	// Unit index validated against FaultUnits, not FaultServers.
-	inj.Register("u", &fakeUnitTarget{fakeTarget: fakeTarget{servers: 9}, units: 3})
+	inj.Register("u", &fakeTarget{servers: 9, units: 3})
 	err = inj.Apply(Schedule{Events: []Event{{Kind: UnitFail, Target: "u", Index: 3}}})
 	if err == nil || !strings.Contains(err.Error(), "3 units") {
 		t.Fatalf("out-of-range unit index accepted: %v", err)
@@ -186,7 +185,7 @@ func TestInjectorValidation(t *testing.T) {
 
 func TestInjectorDeliversUnitEvents(t *testing.T) {
 	env := sim.NewEnv()
-	tgt := &fakeUnitTarget{fakeTarget: fakeTarget{servers: 2}, units: 4}
+	tgt := &fakeTarget{servers: 2, units: 4}
 	inj := NewInjector(env)
 	inj.Register("fs", tgt)
 	sched := Schedule{Events: []Event{
@@ -236,5 +235,38 @@ func TestInjectorOffsetsFromApplyInstant(t *testing.T) {
 	}
 	if got := inj.Applied()[0].At; got != sim.Time(sim.Duration(60*time.Millisecond)) {
 		t.Fatalf("delivered at %v, want 60ms", got)
+	}
+}
+
+// TestInjectorRecordsRefusal: a fail the target refuses is not applied;
+// the injector keeps the first refusal for Err and delivers the rest of
+// the schedule.
+func TestInjectorRecordsRefusal(t *testing.T) {
+	env := sim.NewEnv()
+	tgt := &fakeTarget{servers: 2, units: 2, refuse: map[int]bool{1: true}}
+	inj := NewInjector(env)
+	inj.Register("fs", tgt)
+	if err := inj.Apply(Schedule{Events: []Event{
+		{At: sim.Duration(10 * time.Millisecond), Kind: ServerFail, Index: 0},
+		{At: sim.Duration(20 * time.Millisecond), Kind: ServerFail, Index: 1},
+		{At: sim.Duration(30 * time.Millisecond), Kind: UnitFail, Index: 1},
+		{At: sim.Duration(40 * time.Millisecond), Kind: ServerRecover, Index: 0},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if inj.Err() != nil {
+		t.Fatalf("error before the run: %v", inj.Err())
+	}
+	env.Run()
+	want := "fail,0,fail,1,unit-fail,1,recover,0"
+	if got := strings.Join(tgt.calls, ","); got != want {
+		t.Fatalf("delivery %v, want %v", got, want)
+	}
+	if n := len(inj.Applied()); n != 2 {
+		t.Fatalf("applied %d events, want the 2 accepted ones", n)
+	}
+	err := inj.Err()
+	if err == nil || !strings.Contains(err.Error(), "20ms server-fail index=1 refused: cannot fail the last healthy member") {
+		t.Fatalf("first refusal not recorded: %v", err)
 	}
 }

@@ -13,16 +13,17 @@ import (
 	"storagesim/internal/lustre"
 	"storagesim/internal/netsim"
 	"storagesim/internal/nvmelocal"
+	"storagesim/internal/repair"
 	"storagesim/internal/sim"
 	"storagesim/internal/unifyfs"
 	"storagesim/internal/vast"
 )
 
-// backendCase builds one small deployment, returns its fault target and a
-// workload that writes `total` bytes through `clients` mounts.
+// backendCase builds one small deployment, returns it as a fault target
+// with its rebuild hooks, and mounts `caseClients` clients on it.
 type backendCase struct {
 	name  string
-	build func(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client)
+	build func(env *sim.Env, fab *sim.Fabric) (repair.Protected, []fsapi.Client)
 }
 
 const (
@@ -30,7 +31,7 @@ const (
 	caseTotal   = int64(256 << 20) // per client
 )
 
-func vastCase(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client) {
+func vastCase(env *sim.Env, fab *sim.Fabric) (repair.Protected, []fsapi.Client) {
 	sys := vast.MustNew(env, fab, vast.Config{
 		Name: "vast-inv", CNodes: 4, DBoxes: 2, DNodesPerDBox: 2,
 		SCMPerDBox: 4, QLCPerDBox: 8,
@@ -42,7 +43,7 @@ func vastCase(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client) {
 	return sys, mounts(fab, func(name string, nic *netsim.Iface) fsapi.Client { return sys.Mount(name, nic) })
 }
 
-func gpfsCase(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client) {
+func gpfsCase(env *sim.Env, fab *sim.Fabric) (repair.Protected, []fsapi.Client) {
 	sys := gpfs.MustNew(env, fab, gpfs.Config{
 		Name: "gpfs-inv", NSDServers: 4, ServerNICBW: 10e9,
 		RaidPerServer: device.GPFSRaidSpec("raid"), ServerMemBW: 40e9,
@@ -52,7 +53,7 @@ func gpfsCase(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client) {
 	return sys, mounts(fab, func(name string, nic *netsim.Iface) fsapi.Client { return sys.Mount(name, nic) })
 }
 
-func lustreCase(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client) {
+func lustreCase(env *sim.Env, fab *sim.Fabric) (repair.Protected, []fsapi.Client) {
 	sys := lustre.MustNew(env, fab, lustre.Config{
 		Name: "lustre-inv", MDSCount: 2, MDSLatency: 50 * time.Microsecond,
 		OSSCount: 4, OSTPerOSS: device.LustreOSTSpec("ost"), ServerNICBW: 10e9,
@@ -61,7 +62,7 @@ func lustreCase(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client) {
 	return sys, mounts(fab, func(name string, nic *netsim.Iface) fsapi.Client { return sys.Mount(name, nic) })
 }
 
-func unifyfsCase(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client) {
+func unifyfsCase(env *sim.Env, fab *sim.Fabric) (repair.Protected, []fsapi.Client) {
 	ic := netsim.NewLinkBank(fab, "uf-ic", 2, 12.5e9, 2*time.Microsecond)
 	sys := unifyfs.MustNew(env, fab, unifyfs.Config{
 		Name: "uf-inv", PerNode: device.NVMe970ProSpec("nvme"),
@@ -71,7 +72,7 @@ func unifyfsCase(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client) 
 	return sys, mounts(fab, func(name string, nic *netsim.Iface) fsapi.Client { return sys.Mount(name, nic) })
 }
 
-func nvmeCase(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client) {
+func nvmeCase(env *sim.Env, fab *sim.Fabric) (repair.Protected, []fsapi.Client) {
 	ic := netsim.NewLinkBank(fab, "nv-ic", 2, 12.5e9, 2*time.Microsecond)
 	sys := nvmelocal.MustNew(env, fab, nvmelocal.Config{
 		Name: "nv-inv", PerNode: device.NVMe970ProSpec("nvme"),
@@ -152,8 +153,9 @@ func TestInvariantsUnderFaults(t *testing.T) {
 }
 
 // TestNoOpFaultPairs asserts that delivering (fail at t, recover at t) —
-// and a derate/restore pair — leaves every pipe's capacity state
-// byte-identical to never having faulted at all.
+// for a server and for a redundancy unit — and a derate/restore pair, and
+// recovering a unit that was failed and half rebuilt, each leave every
+// pipe's capacity state byte-identical to never having faulted at all.
 func TestNoOpFaultPairs(t *testing.T) {
 	for _, bc := range cases() {
 		bc := bc
@@ -172,14 +174,33 @@ func TestNoOpFaultPairs(t *testing.T) {
 				{At: at, Kind: faults.MediaRestore},
 				{At: at, Kind: faults.LinkRestore},
 				{At: at, Kind: faults.ServerRecover, Index: 0},
+				{At: 2 * at, Kind: faults.UnitFail, Index: 0},
+				{At: 2 * at, Kind: faults.UnitRecover, Index: 0},
 			}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			env.Run()
-			if err := invariants.DiffStates(before, invariants.Snapshot(fab)); err != nil {
-				t.Fatalf("no-op fault pair changed fabric state: %v", err)
+			unchanged := func(what string) func() {
+				return func() {
+					if err := invariants.DiffStates(before, invariants.Snapshot(fab)); err != nil {
+						t.Errorf("%s changed fabric state: %v", what, err)
+					}
+				}
 			}
+			env.Schedule(sim.Time(at+time.Millisecond), unchanged("server and derate pairs"))
+			env.Schedule(sim.Time(2*at+time.Millisecond), unchanged("unit pair"))
+			env.Schedule(sim.Time(3*at), func() {
+				if err := tgt.FailUnit(0); err != nil {
+					t.Error(err)
+				}
+				tgt.SetUnitRebuild(0, 0.5)
+				tgt.RecoverUnit(0)
+			})
+			env.Run()
+			if err := inj.Err(); err != nil {
+				t.Fatal(err)
+			}
+			unchanged("half-rebuilt unit recovery")()
 		})
 	}
 }

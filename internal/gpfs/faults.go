@@ -1,7 +1,5 @@
 package gpfs
 
-import "fmt"
-
 // NSD server failure and recovery. The model pools the 16 NSD servers'
 // NICs and GPFS-RAID arrays into aggregate pipes (clients stripe wide), so
 // losing a server removes its share of every pool: NIC bandwidth, server
@@ -13,68 +11,13 @@ import "fmt"
 // (sim.Pipe.SetHealthFactor), so a fail/recover pair restores the exact
 // nominal pool capacity.
 
-// FailNSD takes NSD server i out of service. Failing an already-failed
-// server is a no-op; failing the last healthy server panics (the file
-// system would be down, which no experiment models).
-func (s *System) FailNSD(i int) {
-	if i < 0 || i >= s.cfg.NSDServers {
-		panic(fmt.Sprintf("gpfs %s: no NSD server %d", s.cfg.Name, i))
-	}
-	if s.failed[i] {
-		return
-	}
-	if s.healthyNSDs() == 1 {
-		panic(fmt.Sprintf("gpfs %s: cannot fail the last healthy NSD server", s.cfg.Name))
-	}
-	s.failed[i] = true
-	s.rebuilt[i] = 0
-	s.applyHealth()
-}
-
-// RecoverNSD returns a failed NSD server to service; recovering a healthy
-// server is a no-op.
-func (s *System) RecoverNSD(i int) {
-	if i < 0 || i >= s.cfg.NSDServers || !s.failed[i] {
-		return
-	}
-	s.failed[i] = false
-	s.rebuilt[i] = 0
-	s.applyHealth()
-}
-
-// HealthyNSDs reports how many NSD servers are in service.
-func (s *System) HealthyNSDs() int { return s.healthyNSDs() }
-
-func (s *System) healthyNSDs() int {
-	n := 0
-	for i := 0; i < s.cfg.NSDServers; i++ {
-		if !s.failed[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// healthyFraction is the pools' effective share: whole healthy servers
-// plus the rebuilt fractions of failed ones. With nothing failed the sum
-// of zeros keeps the division exact, so fail/recover pairs still restore
-// bit-identical nominal capacity.
-func (s *System) healthyFraction() float64 {
-	sum := float64(s.healthyNSDs())
-	for i := 0; i < s.cfg.NSDServers; i++ {
-		if s.failed[i] {
-			sum += s.rebuilt[i]
-		}
-	}
-	return sum / float64(s.cfg.NSDServers)
-}
-
-// applyHealth scales the pooled pipes and the RAID pool to the healthy
-// fraction combined with the prevailing cluster-wide derates. A failed
-// server mid-rebuild contributes its reconstructed fraction (repair.go),
-// so pool capacity recovers incrementally instead of snapping back.
+// applyHealth scales the pooled pipes and the RAID pool to the servers'
+// healthy fraction combined with the prevailing cluster-wide derates. A
+// failed server mid-rebuild contributes its reconstructed fraction
+// (repair.go), so pool capacity recovers incrementally instead of
+// snapping back.
 func (s *System) applyHealth() {
-	frac := s.healthyFraction()
+	frac := s.servers.Fraction()
 	s.nsdUp.SetHealthFactor(frac * s.linkHealth)
 	s.nsdDown.SetHealthFactor(frac * s.linkHealth)
 	s.serverMem.SetHealthFactor(frac * s.linkHealth)
@@ -85,13 +28,33 @@ func (s *System) applyHealth() {
 
 // FaultServers implements faults.Target: the failable servers are the NSD
 // servers.
-func (s *System) FaultServers() int { return s.cfg.NSDServers }
+func (s *System) FaultServers() int { return s.servers.Len() }
 
-// FailServer implements faults.Target.
-func (s *System) FailServer(i int) { s.FailNSD(i) }
+// FailServer implements faults.Target: NSD server i leaves the pools.
+func (s *System) FailServer(i int) error {
+	changed, err := s.servers.Fail(i)
+	if changed {
+		s.applyHealth()
+	}
+	return err
+}
 
 // RecoverServer implements faults.Target.
-func (s *System) RecoverServer(i int) { s.RecoverNSD(i) }
+func (s *System) RecoverServer(i int) {
+	if s.servers.Recover(i) {
+		s.applyHealth()
+	}
+}
+
+// FaultUnits implements faults.Target: one redundancy unit per NSD server
+// (its slice of the declustered array).
+func (s *System) FaultUnits() int { return s.servers.Len() }
+
+// FailUnit implements faults.Target: the unit is the server's array.
+func (s *System) FailUnit(i int) error { return s.FailServer(i) }
+
+// RecoverUnit implements faults.Target.
+func (s *System) RecoverUnit(i int) { s.RecoverServer(i) }
 
 // SetLinkHealth implements faults.Target: derates the SAN-facing pools to
 // fraction f of nominal (the per-node client stack pipes are unaffected —

@@ -24,6 +24,7 @@ import (
 
 	"storagesim/internal/cache"
 	"storagesim/internal/device"
+	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
 	"storagesim/internal/fsbase"
 	"storagesim/internal/netsim"
@@ -89,13 +90,12 @@ type System struct {
 	raid      *device.Device
 	serverCch *cache.Cache
 
-	// Fault state (see faults.go): failed marks out-of-service NSD servers;
-	// linkHealth and mediaHealth are the prevailing cluster-wide derates.
-	// rebuilt is each failed server's reconstructed fraction (see
-	// repair.go): a server 60% rebuilt contributes 0.6 of its share to the
-	// pools, so health recovers incrementally as a rebuild progresses.
-	failed      []bool
-	rebuilt     []float64
+	// Fault state (see faults.go): servers is the NSD server failure
+	// domain — a server 60% rebuilt (repair.go) contributes 0.6 of its
+	// share to the pools, so health recovers incrementally as a rebuild
+	// progresses. linkHealth and mediaHealth are the prevailing
+	// cluster-wide derates.
+	servers     faults.Domain
 	linkHealth  float64
 	mediaHealth float64
 }
@@ -106,7 +106,7 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, env: env, fab: fab, ns: fsapi.NewNamespace(),
-		failed: make([]bool, cfg.NSDServers), rebuilt: make([]float64, cfg.NSDServers),
+		servers:    faults.NewDomain("gpfs "+cfg.Name, "NSD server", cfg.NSDServers),
 		linkHealth: 1, mediaHealth: 1}
 	poolBW := cfg.ServerNICBW * float64(cfg.NSDServers)
 	s.nsdUp = fab.NewPipe(cfg.Name+"/nsd/up", poolBW, 2*time.Microsecond)

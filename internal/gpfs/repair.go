@@ -23,24 +23,12 @@ func (s *System) RepairScheme() repair.Scheme {
 	return repair.Scheme{Kind: repair.DeclusteredRAID, Tolerance: gpfsTolerance, ServersHoldData: true}
 }
 
-// FaultUnits implements faults.UnitTarget: one redundancy unit per NSD
-// server (its slice of the declustered array).
-func (s *System) FaultUnits() int { return s.cfg.NSDServers }
-
-// FailUnit implements faults.UnitTarget.
-func (s *System) FailUnit(i int) { s.FailNSD(i) }
-
-// RecoverUnit implements faults.UnitTarget.
-func (s *System) RecoverUnit(i int) { s.RecoverNSD(i) }
-
 // SetUnitRebuild implements repair.Protected: count failed server i as
 // fraction frac reconstructed when deriving pooled capacity.
 func (s *System) SetUnitRebuild(i int, frac float64) {
-	if i < 0 || i >= s.cfg.NSDServers || !s.failed[i] {
-		return
+	if s.servers.SetRebuilt(i, frac) {
+		s.applyHealth()
 	}
-	s.rebuilt[i] = frac
-	s.applyHealth()
 }
 
 // UnitBytes implements repair.Protected: the declustered layout spreads

@@ -21,6 +21,7 @@ import (
 
 	"storagesim/internal/cache"
 	"storagesim/internal/device"
+	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
 	"storagesim/internal/fsbase"
 	"storagesim/internal/netsim"
@@ -74,11 +75,10 @@ type System struct {
 	ossUp, ossDown *sim.Pipe
 	pool           *device.Device
 
-	// Fault state (see faults.go): failed marks out-of-service OSSes;
+	// Fault state (see faults.go): servers is the OSS failure domain,
+	// carrying each failed OSS's resilvered fraction (see repair.go);
 	// linkHealth and mediaHealth are the prevailing cluster-wide derates.
-	// rebuilt is each failed OSS's resilvered fraction (see repair.go).
-	failed      []bool
-	rebuilt     []float64
+	servers     faults.Domain
 	linkHealth  float64
 	mediaHealth float64
 
@@ -94,7 +94,7 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, env: env, fab: fab, ns: fsapi.NewNamespace(),
-		failed: make([]bool, cfg.OSSCount), rebuilt: make([]float64, cfg.OSSCount),
+		servers:    faults.NewDomain("lustre "+cfg.Name, "OSS", cfg.OSSCount),
 		linkHealth: 1, mediaHealth: 1}
 	poolNIC := cfg.ServerNICBW * float64(cfg.OSSCount)
 	s.ossUp = fab.NewPipe(cfg.Name+"/oss/up", poolNIC, 2*time.Microsecond)

@@ -21,23 +21,12 @@ func (s *System) RepairScheme() repair.Scheme {
 	return repair.Scheme{Kind: repair.DeclusteredRAID, Tolerance: lustreTolerance, ServersHoldData: true}
 }
 
-// FaultUnits implements faults.UnitTarget: one redundancy unit per OSS.
-func (s *System) FaultUnits() int { return s.cfg.OSSCount }
-
-// FailUnit implements faults.UnitTarget.
-func (s *System) FailUnit(i int) { s.FailOSS(i) }
-
-// RecoverUnit implements faults.UnitTarget.
-func (s *System) RecoverUnit(i int) { s.RecoverOSS(i) }
-
 // SetUnitRebuild implements repair.Protected: count failed OSS i as
 // fraction frac resilvered when deriving pooled capacity.
 func (s *System) SetUnitRebuild(i int, frac float64) {
-	if i < 0 || i >= s.cfg.OSSCount || !s.failed[i] {
-		return
+	if s.servers.SetRebuilt(i, frac) {
+		s.applyHealth()
 	}
-	s.rebuilt[i] = frac
-	s.applyHealth()
 }
 
 // UnitBytes implements repair.Protected: files stripe evenly over the

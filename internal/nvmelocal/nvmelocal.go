@@ -22,6 +22,7 @@ import (
 
 	"storagesim/internal/cache"
 	"storagesim/internal/device"
+	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
 	"storagesim/internal/fsbase"
 	"storagesim/internal/netsim"
@@ -74,8 +75,9 @@ type System struct {
 	nodes map[string]*nodeState
 	order []string // deterministic iteration
 
-	// Fault state (see faults.go): prevailing cluster-wide derates.
-	linkHealth  float64
+	// Fault state (see faults.go): up is the failure domain of the mounted
+	// nodes in mount order; mediaHealth the prevailing SSD derate.
+	up          faults.Domain
 	mediaHealth float64
 }
 
@@ -89,7 +91,6 @@ type nodeState struct {
 	dirty     int64
 	lastDrain sim.Time
 	client    *client
-	failed    bool
 }
 
 // New builds the system; nodes attach lazily on Mount.
@@ -98,7 +99,7 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 		return nil, err
 	}
 	return &System{cfg: cfg, env: env, fab: fab, nodes: map[string]*nodeState{},
-		linkHealth: 1, mediaHealth: 1}, nil
+		up: faults.NewDomain("nvmelocal "+cfg.Name, "node", 0), mediaHealth: 1}, nil
 }
 
 // MustNew is New that panics on config errors.
@@ -131,6 +132,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 		st.memInPath = []*sim.Pipe{st.memIn}
 		s.nodes[node] = st
 		s.order = append(s.order, node)
+		s.up.Grow()
 	}
 	if st.client == nil {
 		cl := &client{sys: s, node: st}

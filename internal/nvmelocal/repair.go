@@ -16,16 +16,6 @@ func (s *System) RepairScheme() repair.Scheme {
 	return repair.Scheme{Kind: repair.None, Tolerance: 0, ServersHoldData: true}
 }
 
-// FaultUnits implements faults.UnitTarget: one unit per mounted node (its
-// NVMe array).
-func (s *System) FaultUnits() int { return len(s.order) }
-
-// FailUnit implements faults.UnitTarget.
-func (s *System) FailUnit(i int) { s.FailNode(i) }
-
-// RecoverUnit implements faults.UnitTarget.
-func (s *System) RecoverUnit(i int) { s.RecoverNode(i) }
-
 // SetUnitRebuild implements repair.Protected. With no redundancy there is
 // nothing to rebuild from; the manager never calls it.
 func (s *System) SetUnitRebuild(i int, frac float64) {}

@@ -4,11 +4,12 @@
 // link and media derates — drawn from a deterministic RNG, so a fixed
 // seed reproduces the identical storm byte-for-byte on every machine.
 //
-// Generation is constrained so a storm can never panic a backend: every
-// backend refuses to fail its last healthy server or unit, and a recovery
-// delivered mid-rebuild is intentionally swallowed by the repair manager
-// (the rebuild is what restores health), so the generator's view of which
-// servers are up can lag reality. The safety rule that survives that lag
+// Generation is constrained so no storm event is ever refused: every
+// backend's failure domain (faults.Domain) refuses, with an error the
+// injector reports, to fail its last healthy server or unit, and a
+// recovery delivered mid-rebuild is intentionally swallowed by the repair
+// manager (the rebuild is what restores health), so the generator's view
+// of which servers are up can lag reality. The safety rule that survives that lag
 // is: never let the set of *ever-failed* indices reach the whole pool —
 // at least one server and one unit per pool never fails, so at least one
 // is always healthy no matter how recoveries interleave with rebuilds.

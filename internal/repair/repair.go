@@ -10,7 +10,7 @@
 // of whole enclosures, at the cost of decode reads while degraded), GPFS
 // with declustered GPFS-RAID, Lustre with RAID behind each OSS, while
 // UnifyFS and node-local NVMe have none: node loss is data loss. The
-// protection granularity is the *unit* (faults.UnitTarget): a DBox, an NSD
+// protection granularity is the *unit* of faults.Target: a DBox, an NSD
 // server's array, an OSS's OSTs, a node's SSD.
 //
 // A Manager wraps a backend's Protected implementation and intercepts the
@@ -24,7 +24,10 @@
 // recovery event while a rebuild is running does not snap capacity back.
 // When concurrent failures exceed the tolerance, the newly failed unit's
 // bytes are reported as lost instead of rebuilt: the run completes and
-// says so, never hangs and never reports a silent clean result.
+// says so, never hangs and never reports a silent clean result. A failure
+// the backend refuses (the last healthy member of a faults.Domain) goes
+// back to the injector as an error: no rebuild starts and no loss is
+// recorded, because nothing went down.
 package repair
 
 import (
@@ -111,9 +114,9 @@ func Aggressive() QoS { return QoS{} }
 
 // Protected is a backend that can be wrapped by a Manager: the fault
 // surface plus the hooks a rebuild job needs. All five backend Systems
-// implement it.
+// implement it, keeping a unit's rebuilt fraction in their faults.Domain.
 type Protected interface {
-	faults.UnitTarget
+	faults.Target
 	// RepairScheme declares the backend's redundancy scheme.
 	RepairScheme() Scheme
 	// SetUnitRebuild counts failed unit i as fraction frac rebuilt when
@@ -309,7 +312,7 @@ func (m *Manager) CheckComplete() error {
 	return nil
 }
 
-// --- faults.UnitTarget (the injector-facing surface) ---
+// --- faults.Target (the injector-facing surface) ---
 
 // FaultServers implements faults.Target by delegation.
 func (m *Manager) FaultServers() int { return m.p.FaultServers() }
@@ -317,12 +320,15 @@ func (m *Manager) FaultServers() int { return m.p.FaultServers() }
 // FailServer implements faults.Target: the server goes down immediately
 // (delegated), and when the backend's servers own their redundancy unit
 // (Scheme.ServersHoldData) the unit failure is processed too — rebuild or
-// loss.
-func (m *Manager) FailServer(i int) {
-	m.p.FailServer(i)
+// loss. A failure the backend refuses changes nothing here either.
+func (m *Manager) FailServer(i int) error {
+	if err := m.p.FailServer(i); err != nil {
+		return err
+	}
 	if m.p.RepairScheme().ServersHoldData && i < len(m.units) {
 		m.unitFailed(i)
 	}
+	return nil
 }
 
 // RecoverServer implements faults.Target. A recovery while the unit's
@@ -345,17 +351,20 @@ func (m *Manager) SetLinkHealth(f float64) { m.p.SetLinkHealth(f) }
 // SetMediaHealth implements faults.Target by delegation.
 func (m *Manager) SetMediaHealth(f float64) { m.p.SetMediaHealth(f) }
 
-// FaultUnits implements faults.UnitTarget by delegation.
+// FaultUnits implements faults.Target by delegation.
 func (m *Manager) FaultUnits() int { return m.p.FaultUnits() }
 
-// FailUnit implements faults.UnitTarget: delegate the capacity loss, then
+// FailUnit implements faults.Target: delegate the capacity loss, then
 // process the redundancy consequence (rebuild or loss).
-func (m *Manager) FailUnit(i int) {
-	m.p.FailUnit(i)
+func (m *Manager) FailUnit(i int) error {
+	if err := m.p.FailUnit(i); err != nil {
+		return err
+	}
 	m.unitFailed(i)
+	return nil
 }
 
-// RecoverUnit implements faults.UnitTarget with the same
+// RecoverUnit implements faults.Target with the same
 // no-snap-back-during-rebuild rule as RecoverServer.
 func (m *Manager) RecoverUnit(i int) {
 	m.recoverUnit(i, func() { m.p.RecoverUnit(i) })
@@ -379,4 +388,4 @@ func (m *Manager) recoverUnit(i int, delegate func()) {
 }
 
 // Interface check: a Manager substitutes for its backend at the injector.
-var _ faults.UnitTarget = (*Manager)(nil)
+var _ faults.Target = (*Manager)(nil)

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -18,6 +19,9 @@ type fakeBackend struct {
 	serverDown []bool
 	unitDown   []bool
 	rebuilt    []float64
+	// refuse, when set, is returned by both fail methods, which then
+	// change nothing (a backend's last healthy member).
+	refuse error
 
 	recoverUnitCalls int
 }
@@ -33,15 +37,25 @@ func newFakeBackend(fab *sim.Fabric, scheme Scheme) *fakeBackend {
 	}
 }
 
-func (b *fakeBackend) FaultServers() int        { return len(b.serverDown) }
-func (b *fakeBackend) FailServer(i int)         { b.serverDown[i] = true }
+func (b *fakeBackend) FaultServers() int { return len(b.serverDown) }
+func (b *fakeBackend) FailServer(i int) error {
+	if b.refuse == nil {
+		b.serverDown[i] = true
+	}
+	return b.refuse
+}
 func (b *fakeBackend) RecoverServer(i int)      { b.serverDown[i] = false }
 func (b *fakeBackend) SetLinkHealth(f float64)  {}
 func (b *fakeBackend) SetMediaHealth(f float64) {}
 func (b *fakeBackend) FaultUnits() int          { return len(b.unitDown) }
-func (b *fakeBackend) FailUnit(i int)           { b.unitDown[i] = true; b.rebuilt[i] = 0 }
-func (b *fakeBackend) RepairScheme() Scheme     { return b.scheme }
-func (b *fakeBackend) UnitBytes(i int) float64  { return b.unitBytes }
+func (b *fakeBackend) FailUnit(i int) error {
+	if b.refuse == nil {
+		b.unitDown[i], b.rebuilt[i] = true, 0
+	}
+	return b.refuse
+}
+func (b *fakeBackend) RepairScheme() Scheme    { return b.scheme }
+func (b *fakeBackend) UnitBytes(i int) float64 { return b.unitBytes }
 func (b *fakeBackend) RepairPath(i int) []*sim.Pipe {
 	if b.scheme.Kind == None {
 		return nil
@@ -57,6 +71,31 @@ func (b *fakeBackend) RecoverUnit(i int) {
 
 func declustered() Scheme {
 	return Scheme{Kind: DeclusteredRAID, Tolerance: 1, ServersHoldData: true}
+}
+
+// TestRefusedFailureIsNotAUnitLoss: a failure the backend refuses passes
+// its error up to the injector and neither starts a rebuild nor records a
+// loss — the unit never went down.
+func TestRefusedFailureIsNotAUnitLoss(t *testing.T) {
+	env := sim.NewEnv()
+	fab := sim.NewFabric(env)
+	b := newFakeBackend(fab, declustered())
+	b.refuse = errors.New("last healthy")
+	m := NewManager(env, fab, b, Aggressive())
+	var errs []error
+	env.After(time.Millisecond, func() { errs = append(errs, m.FailServer(0), m.FailUnit(1)) })
+	env.Run()
+	for _, err := range errs {
+		if !errors.Is(err, b.refuse) {
+			t.Fatalf("refusal not passed up: %v", errs)
+		}
+	}
+	if len(m.Jobs()) != 0 || len(m.Losses()) != 0 {
+		t.Fatalf("refused failures started %d rebuilds and %d losses", len(m.Jobs()), len(m.Losses()))
+	}
+	if err := m.CheckComplete(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRebuildWithinTolerance(t *testing.T) {

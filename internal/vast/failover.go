@@ -1,7 +1,5 @@
 package vast
 
-import "fmt"
-
 // CNode failure, recovery and failover. Section III-A.2 of the paper
 // describes the CNodes as stateless containers: "the VAST system state is
 // firstly written into multiple SSDs, then acknowledged and finally
@@ -21,8 +19,9 @@ import "fmt"
 // to the next healthy CNode and are marked stale: with a retry policy
 // configured, their next operation pays the NFS retransmit delay before
 // using the new path. The multipath pools lose the node's share. Failing
-// an already-failed CNode is a no-op; failing the last healthy CNode
-// panics (the cluster would be down, which no experiment models).
+// an already-failed CNode is a no-op; an out-of-range index or the last
+// healthy CNode is refused with an error (the cluster would be down,
+// which no experiment models).
 //
 // Op-level workloads resolve their path per operation and fail over after
 // the retransmit penalty. A flow-level stream that is mid-flight across
@@ -30,17 +29,11 @@ import "fmt"
 // flow) and crawls at the parked capacity — mirroring an NFS hard-mount
 // retrying until its server returns. Inject failures around flow
 // boundaries or use op-level runs for failure studies.
-func (s *System) FailCNode(i int) {
-	if i < 0 || i >= s.cfg.CNodes {
-		panic(fmt.Sprintf("vast %s: no CNode %d", s.cfg.Name, i))
+func (s *System) FailCNode(i int) error {
+	changed, err := s.cnodes.Fail(i)
+	if !changed {
+		return err
 	}
-	if s.failed[i] {
-		return
-	}
-	if s.healthyCNodes() == 1 {
-		panic(fmt.Sprintf("vast %s: cannot fail the last healthy CNode", s.cfg.Name))
-	}
-	s.failed[i] = true
 	// The failed server's NIC and reduction engine serve nobody: park their
 	// pipes so in-flight flows drain away from it rather than dividing by
 	// zero.
@@ -54,6 +47,7 @@ func (s *System) FailCNode(i int) {
 			cl.stale = true
 		}
 	}
+	return nil
 }
 
 // RecoverCNode returns a failed CNode to service and re-balances the
@@ -81,10 +75,9 @@ func (s *System) RestoreCNode(i int) { s.restoreCapacity(i) }
 
 // restoreCapacity un-parks CNode i's pipes, reporting whether i was failed.
 func (s *System) restoreCapacity(i int) bool {
-	if i < 0 || i >= s.cfg.CNodes || !s.failed[i] {
+	if !s.cnodes.Recover(i) {
 		return false
 	}
-	s.failed[i] = false
 	s.cnodeNIC[i].SetHealthFactor(s.linkHealth)
 	s.reduce[i].SetHealthFactor(s.linkHealth)
 	s.applyPoolHealth()
@@ -97,33 +90,23 @@ func (s *System) applyPoolHealth() {
 	if s.cnodePool == nil {
 		return
 	}
-	frac := float64(s.healthyCNodes()) / float64(s.cfg.CNodes) * s.linkHealth
+	frac := s.cnodes.Fraction() * s.linkHealth
 	s.cnodePool.SetHealthFactor(frac)
 	s.reducePool.SetHealthFactor(frac)
 }
 
 // HealthyCNodes reports how many CNodes are in service.
-func (s *System) HealthyCNodes() int { return s.healthyCNodes() }
-
-func (s *System) healthyCNodes() int {
-	n := 0
-	for i := 0; i < s.cfg.CNodes; i++ {
-		if !s.failed[i] {
-			n++
-		}
-	}
-	return n
-}
+func (s *System) HealthyCNodes() int { return s.cnodes.Healthy() }
 
 // nextHealthy returns the first in-service CNode after i (wrapping).
 func (s *System) nextHealthy(i int) int {
 	for step := 1; step <= s.cfg.CNodes; step++ {
 		j := (i + step) % s.cfg.CNodes
-		if !s.failed[j] {
+		if !s.cnodes.Failed(j) {
 			return j
 		}
 	}
-	panic("vast: no healthy CNodes") // guarded by FailCNode
+	panic("vast: no healthy CNodes") // the domain never fails its last CNode
 }
 
 // --- faults.Target ---
@@ -133,11 +116,20 @@ func (s *System) nextHealthy(i int) int {
 func (s *System) FaultServers() int { return s.cfg.CNodes }
 
 // FailServer implements faults.Target.
-func (s *System) FailServer(i int) { s.FailCNode(i) }
+func (s *System) FailServer(i int) error { return s.FailCNode(i) }
 
 // RecoverServer implements faults.Target: full recovery with client
 // re-balancing.
 func (s *System) RecoverServer(i int) { s.RecoverCNode(i) }
+
+// FaultUnits implements faults.Target: one redundancy unit per DBox.
+func (s *System) FaultUnits() int { return s.cfg.DBoxes }
+
+// FailUnit implements faults.Target.
+func (s *System) FailUnit(i int) error { return s.FailDBox(i) }
+
+// RecoverUnit implements faults.Target.
+func (s *System) RecoverUnit(i int) { s.RecoverDBox(i) }
 
 // SetLinkHealth implements faults.Target: derates every healthy CNode's
 // NIC and reduction engine, the multipath pools and the CBox↔DBox fabric
@@ -146,7 +138,7 @@ func (s *System) RecoverServer(i int) { s.RecoverCNode(i) }
 func (s *System) SetLinkHealth(f float64) {
 	s.linkHealth = f
 	for i := 0; i < s.cfg.CNodes; i++ {
-		if s.failed[i] {
+		if s.cnodes.Failed(i) {
 			continue
 		}
 		s.cnodeNIC[i].SetHealthFactor(f)

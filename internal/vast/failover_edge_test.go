@@ -21,9 +21,9 @@ func mountN(fab *sim.Fabric, sys *System, n int) []*client {
 }
 
 // TestFailoverSequences drives the fail/recover/restore state machine
-// through edge-case sequences. After every non-panicking step, no client
-// may be pinned to a failed CNode — failover is supposed to hold as an
-// invariant, not just after a single clean failure.
+// through edge-case sequences. After every step — a refused failure
+// included — no client may be pinned to a failed CNode: failover is
+// supposed to hold as an invariant, not just after a single clean failure.
 func TestFailoverSequences(t *testing.T) {
 	type step struct {
 		op  string
@@ -33,7 +33,7 @@ func TestFailoverSequences(t *testing.T) {
 		name        string
 		steps       []step
 		wantHealthy int
-		wantPanic   bool
+		wantErr     bool
 	}{
 		{"fail recover fail same CNode", []step{{"fail", 1}, {"recover", 1}, {"fail", 1}}, 3, false},
 		{"double fail is a no-op", []step{{"fail", 2}, {"fail", 2}}, 3, false},
@@ -41,39 +41,35 @@ func TestFailoverSequences(t *testing.T) {
 		{"restore then re-fail", []step{{"fail", 0}, {"restore", 0}, {"fail", 0}}, 3, false},
 		{"interleaved fail and recover", []step{{"fail", 0}, {"fail", 1}, {"recover", 0}, {"fail", 2}}, 2, false},
 		{"cascade to two survivors", []step{{"fail", 3}, {"fail", 0}}, 2, false},
-		{"fail last healthy panics", []step{{"fail", 0}, {"fail", 1}, {"fail", 2}, {"fail", 3}}, 0, true},
-		{"fail out of range panics", []step{{"fail", 7}}, 0, true},
-		{"fail negative panics", []step{{"fail", -1}}, 0, true},
+		{"fail last healthy is refused", []step{{"fail", 0}, {"fail", 1}, {"fail", 2}, {"fail", 3}}, 1, true},
+		{"fail out of range is refused", []step{{"fail", 7}}, 4, true},
+		{"fail negative is refused", []step{{"fail", -1}}, 4, true},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			_, fab, sys := newTestSystem(t)
 			clients := mountN(fab, sys, 8)
-			panicked := func() (p bool) {
-				defer func() { p = recover() != nil }()
-				for _, st := range tc.steps {
-					switch st.op {
-					case "fail":
-						sys.FailCNode(st.idx)
-					case "recover":
-						sys.RecoverCNode(st.idx)
-					case "restore":
-						sys.RestoreCNode(st.idx)
+			var refused error
+			for _, st := range tc.steps {
+				switch st.op {
+				case "fail":
+					if err := sys.FailCNode(st.idx); err != nil && refused == nil {
+						refused = err
 					}
-					for i, cl := range clients {
-						if sys.failed[cl.cnode] {
-							t.Errorf("after %s %d: client %d pinned to failed CNode %d", st.op, st.idx, i, cl.cnode)
-						}
+				case "recover":
+					sys.RecoverCNode(st.idx)
+				case "restore":
+					sys.RestoreCNode(st.idx)
+				}
+				for i, cl := range clients {
+					if sys.cnodes.Failed(cl.cnode) {
+						t.Errorf("after %s %d: client %d pinned to failed CNode %d", st.op, st.idx, i, cl.cnode)
 					}
 				}
-				return false
-			}()
-			if panicked != tc.wantPanic {
-				t.Fatalf("panicked = %v, want %v", panicked, tc.wantPanic)
 			}
-			if tc.wantPanic {
-				return
+			if (refused != nil) != tc.wantErr {
+				t.Fatalf("refused = %v, want an error: %v", refused, tc.wantErr)
 			}
 			if got := sys.HealthyCNodes(); got != tc.wantHealthy {
 				t.Fatalf("healthy = %d, want %d", got, tc.wantHealthy)
@@ -202,7 +198,7 @@ func TestMidFlightFailRecoverFail(t *testing.T) {
 	if !done {
 		t.Fatal("op stream did not survive fail/recover/fail")
 	}
-	if sys.failed[cl.cnode] {
+	if sys.cnodes.Failed(cl.cnode) {
 		t.Fatalf("client ended pinned to failed CNode %d", cl.cnode)
 	}
 	if got := sys.HealthyCNodes(); got != 3 {

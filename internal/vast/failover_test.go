@@ -2,6 +2,7 @@ package vast
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,12 +110,13 @@ func TestCannotFailLastCNode(t *testing.T) {
 	sys.FailCNode(0)
 	sys.FailCNode(1)
 	sys.FailCNode(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("failing the last CNode did not panic")
-		}
-	}()
-	sys.FailCNode(3)
+	err := sys.FailCNode(3)
+	if err == nil || !strings.Contains(err.Error(), "cannot fail the last healthy CNode") {
+		t.Fatalf("failing the last CNode: err = %v", err)
+	}
+	if sys.HealthyCNodes() != 1 || sys.cnodes.Failed(3) {
+		t.Fatal("refused failure changed state")
+	}
 }
 
 func TestMountSkipsFailedCNode(t *testing.T) {

@@ -26,6 +26,7 @@ import (
 
 	"storagesim/internal/cache"
 	"storagesim/internal/device"
+	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
 	"storagesim/internal/fsbase"
 	"storagesim/internal/netsim"
@@ -170,19 +171,19 @@ type System struct {
 	// migration (see migrate.go).
 	staging *stager
 
-	// failed marks out-of-service CNodes (see failover.go); clients holds
+	// cnodes is the CNode failure domain (see failover.go); clients holds
 	// every mount for failover re-pinning. linkHealth is the prevailing
 	// cluster-wide link derate applied by the fault injector, remembered so
 	// recovering CNodes come back at the right capacity.
-	failed     []bool
+	cnodes     faults.Domain
 	clients    []*client
 	linkHealth float64
 
-	// DBox redundancy state (see repair.go): dboxFailed marks degraded
-	// enclosures, dboxRebuilt their reconstructed fractions, mediaHealth
-	// the cluster-wide media derate (composed with the DBox fraction).
-	dboxFailed  []bool
-	dboxRebuilt []float64
+	// DBox redundancy state (see repair.go): dboxes is the enclosure
+	// failure domain with each degraded enclosure's reconstructed
+	// fraction, mediaHealth the cluster-wide media derate (composed with
+	// the DBox fraction).
+	dboxes      faults.Domain
 	mediaHealth float64
 
 	nextCNode int
@@ -194,9 +195,9 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, env: env, fab: fab, ns: fsapi.NewNamespace(),
-		failed: make([]bool, cfg.CNodes), linkHealth: 1,
-		dboxFailed: make([]bool, cfg.DBoxes), dboxRebuilt: make([]float64, cfg.DBoxes),
-		mediaHealth: 1}
+		cnodes:     faults.NewDomain("vast "+cfg.Name, "CNode", cfg.CNodes),
+		dboxes:     faults.NewDomain("vast "+cfg.Name, "DBox", cfg.DBoxes),
+		linkHealth: 1, mediaHealth: 1}
 	for i := 0; i < cfg.CNodes; i++ {
 		s.cnodeNIC = append(s.cnodeNIC,
 			netsim.NewDuplex(fab, fmt.Sprintf("%s/cnode%d/nic", cfg.Name, i), cfg.CNodeNICBW, 2*time.Microsecond))
@@ -296,7 +297,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 	home := s.nextCNode % s.cfg.CNodes
 	s.nextCNode++
 	cn := home
-	if s.failed[cn] {
+	if s.cnodes.Failed(cn) {
 		cn = s.nextHealthy(cn)
 	}
 	cl := &client{sys: s, nic: nic, cnode: cn, home: home, id: uint64(len(s.clients))}
@@ -384,7 +385,7 @@ func (c *client) maybeRetry(p *sim.Proc) {
 		return
 	}
 	c.sys.cfg.Retry.Retry(p, c.id, func() bool {
-		if c.sys.failed[c.cnode] {
+		if c.sys.cnodes.Failed(c.cnode) {
 			// The replacement died during the backoff; chase the VIP again.
 			c.cnode = c.sys.nextHealthy(c.cnode)
 			return false
