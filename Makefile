@@ -2,17 +2,18 @@
 # race-enabled tests of the packages the fabric solver rewrite, the
 # fault-injection engine and the self-healing layer touch (under both the
 # calendar-queue and reference-heap schedulers) + one iteration of the
-# kernel and solver micro-benchmarks (catches benchmark rot without paying
-# for stable timings) + a 10s fuzz pass over each input parser and the
-# scheduler differential + the seeded chaos storms (three pinned seeds per
-# backend, zero invariant violations, byte-deterministic digests).
+# kernel, page-cache and solver micro-benchmarks (catches benchmark rot
+# without paying for stable timings) + a 10s fuzz pass over each input
+# parser and the scheduler differential + the seeded chaos storms (three
+# pinned seeds per backend, zero invariant violations, byte-deterministic
+# digests) + a diff of the checked-in figure capture against fresh output.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race reference-smoke bench-smoke bench-diff fuzz-smoke chaos-smoke parallel-smoke fidelity-smoke resilience-smoke whatif-smoke bench test-all
+.PHONY: check vet build test race reference-smoke bench-smoke bench-diff fuzz-smoke chaos-smoke parallel-smoke fidelity-smoke resilience-smoke whatif-smoke artifacts-check bench test-all
 
-check: vet build race reference-smoke bench-smoke bench-diff fuzz-smoke chaos-smoke parallel-smoke fidelity-smoke resilience-smoke whatif-smoke
+check: vet build race reference-smoke bench-smoke bench-diff fuzz-smoke chaos-smoke parallel-smoke fidelity-smoke resilience-smoke whatif-smoke artifacts-check
 
 vet:
 	$(GO) vet ./...
@@ -41,7 +42,7 @@ reference-smoke:
 
 bench-smoke:
 	$(GO) test ./internal/sim/ -run XXX -bench BenchmarkFabricSolver -benchtime=1x
-	$(GO) test . -run XXX -bench 'BenchmarkKernel' -benchtime=1x
+	$(GO) test . -run XXX -bench 'BenchmarkKernel|BenchmarkCacheFlushClean' -benchtime=1x
 	$(GO) test ./internal/traffic -run XXX -bench 'BenchmarkTrafficEngine|BenchmarkResilienceOverhead' -benchtime=1x
 	$(GO) test ./internal/surrogate -run XXX -bench BenchmarkSurrogateScore -benchtime=1x
 
@@ -138,7 +139,7 @@ parallel-smoke:
 # BENCH_baseline.json). Kernel micro-benchmarks get stable 1s timings; the
 # heavyweight end-to-end benches run a few fixed iterations.
 bench:
-	( $(GO) test . -run XXX -bench 'BenchmarkKernel|BenchmarkFairShareSolver|BenchmarkCacheLookup' -benchtime=1s -benchmem ; \
+	( $(GO) test . -run XXX -bench 'BenchmarkKernel|BenchmarkFairShareSolver|BenchmarkCacheLookup|BenchmarkCacheFlushClean' -benchtime=1s -benchmem ; \
 	  $(GO) test ./internal/sim/ -run XXX -bench BenchmarkFabricSolver -benchtime=3x -benchmem ; \
 	  $(GO) test . -run XXX -bench 'BenchmarkConsistency|BenchmarkFig2a|BenchmarkFig3$$' -benchtime=1x -benchmem ) \
 	| $(GO) run ./cmd/benchjson -baseline BENCH_baseline.json -o BENCH_kernel.json \
@@ -150,5 +151,11 @@ bench:
 	$(GO) test ./internal/traffic -run XXX -bench BenchmarkParallelTraffic -benchtime=2s -benchmem -cpu=1,2,4,8 \
 	| $(GO) run ./cmd/benchjson -keep-cpu -o BENCH_parallel.json \
 	    -note "domain-parallel scaling sweep: 8 racks, executors = GOMAXPROCS (-cpu suffix); results are bit-identical across the sweep, only wall clock moves. Recorded with go1.24.0 linux/amd64 on a 1-core Intel Xeon @2.10GHz container (no physical parallelism: the sweep checks determinism, not speedup, here)"
+
+# Artifact gate: the checked-in capture of every figure and table must be
+# what the code prints today. Regenerate it with
+# `go run ./cmd/paperfigs -fig all > artifacts/paperfigs-all.txt`.
+artifacts-check:
+	$(GO) run ./cmd/paperfigs -fig all | diff -u artifacts/paperfigs-all.txt -
 
 test-all: build test race

@@ -337,6 +337,28 @@ func BenchmarkCacheLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheFlushClean measures an fsync/close of a clean file while
+// other files hold dirty blocks: the flush must cost the file's own dirty
+// blocks (none), so ns/op stays flat from 1k to 64k resident blocks.
+func BenchmarkCacheFlushClean(b *testing.B) {
+	for _, resident := range []int64{1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+			b.ReportAllocs()
+			c := cache.New(cache.Config{BlockSize: 4096, Capacity: (resident + 8) * 4096})
+			c.Insert(1, 0, 8*4096, false)
+			for f := uint64(2); f < 66; f++ {
+				c.Insert(f, 0, resident/64*4096, true)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if r := c.FlushFileRanges(1); r != nil {
+					b.Fatal("clean file flushed dirty ranges")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkIORFlowLevel measures a full flow-level IOR run (64 nodes, 44
 // ppn — 2816 rank flows through the Lassen gateway).
 func BenchmarkIORFlowLevel(b *testing.B) {

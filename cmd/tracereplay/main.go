@@ -107,6 +107,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	if io64 == 0 { // TraceConfig would read 0 as "use the 1 MiB default"
+		fail(fmt.Errorf("-io %q is under one byte", *ioSize))
+	}
 
 	if *racks > 1 {
 		doSharded(tr, *machine, *fs, *racks, *nodes, *domains, *remote, *seed)

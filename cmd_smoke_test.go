@@ -147,6 +147,8 @@ func TestCommandsSmoke(t *testing.T) {
 		"-faults", allDown("vast-down.json", 8))
 	runFail(t, filepath.Join(dir, "tracereplay"), "-audit is not supported",
 		"-trace", "internal/experiments/testdata/fidelity_trace.jsonl", "-racks", "2", "-audit")
+	runFail(t, filepath.Join(dir, "tracereplay"), "under one byte",
+		"-trace", "internal/experiments/testdata/fidelity_trace.jsonl", "-io", "0.5")
 
 	// tracereplay round trip: record a short synthetic run, re-ingest it,
 	// replay it on the same deployment, and demand a passing audit.

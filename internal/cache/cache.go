@@ -8,9 +8,16 @@
 // The cache is pure bookkeeping: it answers "which bytes hit, which ranges
 // miss, what got evicted" and the file-system models attach simulated time
 // to those outcomes.
+//
+// Residency is indexed per file: each file keeps its own block map, its
+// sequential detector and the list of its dirty blocks, while one LRU list
+// spans all files and sets the eviction order. So an fsync or close costs
+// the file's own dirty blocks and an invalidation the file's own resident
+// blocks, however many blocks other files hold.
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -69,16 +76,40 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.HitBytes) / float64(total)
 }
 
-type blockKey struct {
-	file  uint64
-	index int64
-}
-
+// entry is one resident block.
 type entry struct {
-	key   blockKey
+	file  *fileState
+	index int64
 	dirty bool
+	slot  int // position in file.dirty while dirty
 	// intrusive LRU list
 	prev, next *entry
+}
+
+// fileState is one file's share of the cache.
+type fileState struct {
+	id     uint64
+	blocks map[int64]*entry
+	// dirty holds exactly the file's resident dirty blocks, unordered.
+	dirty    []*entry
+	nextSeq  int64 // next sequential block index
+	seqScore int   // sequential streak length
+}
+
+func (f *fileState) markDirty(e *entry) {
+	e.dirty = true
+	e.slot = len(f.dirty)
+	f.dirty = append(f.dirty, e)
+}
+
+// dropDirty removes a dirty block that leaves the cache from the dirty list.
+func (f *fileState) dropDirty(e *entry) {
+	last := f.dirty[len(f.dirty)-1]
+	f.dirty[e.slot] = last
+	last.slot = e.slot
+	f.dirty[len(f.dirty)-1] = nil
+	f.dirty = f.dirty[:len(f.dirty)-1]
+	e.dirty = false
 }
 
 // Cache is the LRU cache. Not safe for concurrent use; in the simulator all
@@ -86,12 +117,11 @@ type entry struct {
 type Cache struct {
 	cfg      Config
 	capBlk   int64
-	blocks   map[blockKey]*entry
+	files    map[uint64]*fileState
+	resident int64
 	lruHead  *entry // most recently used
 	lruTail  *entry // least recently used
 	stats    Stats
-	nextSeq  map[uint64]int64 // per-file next sequential block index
-	seqScore map[uint64]int   // per-file sequential streak length
 }
 
 // New returns an empty cache; it panics on an invalid config (configs are
@@ -101,11 +131,9 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	return &Cache{
-		cfg:      cfg,
-		capBlk:   cfg.Capacity / cfg.BlockSize,
-		blocks:   map[blockKey]*entry{},
-		nextSeq:  map[uint64]int64{},
-		seqScore: map[uint64]int{},
+		cfg:    cfg,
+		capBlk: cfg.Capacity / cfg.BlockSize,
+		files:  map[uint64]*fileState{},
 	}
 }
 
@@ -116,7 +144,17 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Len returns the number of resident blocks.
-func (c *Cache) Len() int { return len(c.blocks) }
+func (c *Cache) Len() int { return int(c.resident) }
+
+// file returns file's state, creating it on first use.
+func (c *Cache) file(file uint64) *fileState {
+	f := c.files[file]
+	if f == nil {
+		f = &fileState{id: file, blocks: map[int64]*entry{}}
+		c.files[file] = f
+	}
+	return f
+}
 
 // Lookup checks [off, off+size) of file: hit bytes are counted and
 // refreshed in LRU order; missing bytes are returned as coalesced ranges
@@ -125,6 +163,7 @@ func (c *Cache) Lookup(file uint64, off, size int64) (hitBytes int64, misses []R
 	if size <= 0 {
 		return 0, nil
 	}
+	f := c.file(file)
 	bs := c.cfg.BlockSize
 	first := off / bs
 	last := (off + size - 1) / bs
@@ -137,10 +176,10 @@ func (c *Cache) Lookup(file uint64, off, size int64) (hitBytes int64, misses []R
 	}
 	for b := first; b <= last; b++ {
 		// bytes of the request inside this block
-		lo := max64(off, b*bs)
-		hi := min64(off+size, (b+1)*bs)
+		lo := max(off, b*bs)
+		hi := min(off+size, (b+1)*bs)
 		n := hi - lo
-		if e, ok := c.blocks[blockKey{file, b}]; ok {
+		if e, ok := f.blocks[b]; ok {
 			c.touch(e)
 			hitBytes += n
 			c.stats.HitBytes += n
@@ -156,12 +195,12 @@ func (c *Cache) Lookup(file uint64, off, size int64) (hitBytes int64, misses []R
 	}
 	flush()
 	// Sequential detection at block granularity.
-	if first == c.nextSeq[file] || c.seqScore[file] == 0 && first == 0 {
-		c.seqScore[file]++
-	} else if first != c.nextSeq[file] {
-		c.seqScore[file] = 0
+	if first == f.nextSeq || f.seqScore == 0 && first == 0 {
+		f.seqScore++
+	} else {
+		f.seqScore = 0
 	}
-	c.nextSeq[file] = last + 1
+	f.nextSeq = last + 1
 	return hitBytes, misses
 }
 
@@ -170,14 +209,15 @@ func (c *Cache) Lookup(file uint64, off, size int64) (hitBytes int64, misses []R
 // sequential (or readahead is disabled). The caller fetches it and calls
 // Insert.
 func (c *Cache) ReadaheadRange(file uint64, off, size int64) Range {
-	if c.cfg.ReadaheadBlocks == 0 || c.seqScore[file] < 2 {
+	f := c.files[file]
+	if c.cfg.ReadaheadBlocks == 0 || f == nil || f.seqScore < 2 {
 		return Range{}
 	}
 	bs := c.cfg.BlockSize
-	start := c.nextSeq[file] // next unread block
+	start := f.nextSeq // next unread block
 	var missLen int64
 	for i := 0; i < c.cfg.ReadaheadBlocks; i++ {
-		if _, ok := c.blocks[blockKey{file, start + int64(i)}]; ok {
+		if _, ok := f.blocks[start+int64(i)]; ok {
 			break
 		}
 		missLen += bs
@@ -192,109 +232,96 @@ func (c *Cache) Insert(file uint64, off, size int64, dirty bool) (evictedDirty [
 	if size <= 0 {
 		return nil
 	}
+	f := c.file(file)
 	bs := c.cfg.BlockSize
 	first := off / bs
 	last := (off + size - 1) / bs
 	for b := first; b <= last; b++ {
-		key := blockKey{file, b}
-		if e, ok := c.blocks[key]; ok {
-			e.dirty = e.dirty || dirty
+		if e, ok := f.blocks[b]; ok {
+			if dirty && !e.dirty {
+				f.markDirty(e)
+			}
 			c.touch(e)
 			continue
 		}
 		c.stats.Insertions++
-		e := &entry{key: key, dirty: dirty}
-		c.blocks[key] = e
+		e := &entry{file: f, index: b}
+		f.blocks[b] = e
+		if dirty {
+			f.markDirty(e)
+		}
 		c.pushFront(e)
-		if int64(len(c.blocks)) > c.capBlk {
-			if victim := c.evictOne(); victim != nil {
-				evictedDirty = append(evictedDirty, *victim)
+		c.resident++
+		if c.resident > c.capBlk {
+			if victim, wasDirty := c.evictOne(); wasDirty {
+				evictedDirty = append(evictedDirty, victim)
 			}
 		}
 	}
 	return evictedDirty
 }
 
-// DirtyBytes returns the number of dirty resident bytes for file (all files
-// when file is 0 and zero is not a real file id in the caller's scheme).
-func (c *Cache) DirtyBytes(file uint64) int64 {
-	var n int64
-	for k, e := range c.blocks {
-		if e.dirty && (file == 0 || k.file == file) {
-			n += c.cfg.BlockSize
-		}
-	}
-	return n
-}
-
-// FlushFile clears dirty flags on file's blocks and returns the byte count
-// the caller must write back (fsync).
-func (c *Cache) FlushFile(file uint64) int64 {
-	var n int64
-	for _, r := range c.FlushFileRanges(file) {
-		n += r.Len
-	}
-	return n
-}
-
 // FlushFileRanges clears dirty flags on file's blocks and returns the
 // coalesced dirty ranges in ascending offset order, so the caller can
-// write them back preserving sequentiality.
+// write them back preserving sequentiality. It costs O(d log d) in the
+// file's d dirty blocks and allocates nothing when the file is clean.
 func (c *Cache) FlushFileRanges(file uint64) []Range {
-	var idxs []int64
-	for k, e := range c.blocks {
-		if k.file == file && e.dirty {
-			e.dirty = false
-			idxs = append(idxs, k.index)
-		}
-	}
-	if len(idxs) == 0 {
+	f := c.files[file]
+	if f == nil || len(f.dirty) == 0 {
 		return nil
 	}
-	sortInt64s(idxs)
+	slices.SortFunc(f.dirty, func(a, b *entry) int { return cmp.Compare(a.index, b.index) })
 	bs := c.cfg.BlockSize
 	var out []Range
-	start, length := idxs[0], int64(1)
-	for _, i := range idxs[1:] {
-		if i == start+length {
+	start, length := f.dirty[0].index, int64(0)
+	for _, e := range f.dirty {
+		e.dirty = false
+		if e.index == start+length {
 			length++
 			continue
 		}
 		out = append(out, Range{File: file, Off: start * bs, Len: length * bs})
-		start, length = i, 1
+		start, length = e.index, 1
 	}
 	out = append(out, Range{File: file, Off: start * bs, Len: length * bs})
+	clear(f.dirty)
+	f.dirty = f.dirty[:0]
 	return out
 }
 
-// InvalidateFile drops all of file's blocks (close-to-open NFS semantics,
-// or the "read from a different node than wrote" trick in the paper's
+// InvalidateFile drops all of file's blocks, dirty ones included, and
+// resets its sequential detector (close-to-open NFS semantics, or the
+// "read from a different node than wrote" trick in the paper's
 // methodology).
 func (c *Cache) InvalidateFile(file uint64) {
-	for k, e := range c.blocks {
-		if k.file == file {
-			c.unlink(e)
-			delete(c.blocks, k)
-		}
+	f := c.files[file]
+	if f == nil {
+		return
 	}
-	delete(c.nextSeq, file)
-	delete(c.seqScore, file)
+	for _, e := range f.blocks {
+		c.unlink(e)
+	}
+	c.resident -= int64(len(f.blocks))
+	delete(c.files, file)
 }
 
-// evictOne removes the LRU block; returns its range if it was dirty.
-func (c *Cache) evictOne() *Range {
+// evictOne removes the LRU block and reports its range if it was dirty.
+func (c *Cache) evictOne() (Range, bool) {
 	e := c.lruTail
 	if e == nil {
-		return nil
+		return Range{}, false
 	}
 	c.unlink(e)
-	delete(c.blocks, e.key)
+	f := e.file
+	delete(f.blocks, e.index)
+	c.resident--
 	c.stats.Evictions++
-	if e.dirty {
-		c.stats.DirtyEvictedBytes += c.cfg.BlockSize
-		return &Range{File: e.key.file, Off: e.key.index * c.cfg.BlockSize, Len: c.cfg.BlockSize}
+	if !e.dirty {
+		return Range{}, false
 	}
-	return nil
+	f.dropDirty(e)
+	c.stats.DirtyEvictedBytes += c.cfg.BlockSize
+	return Range{File: f.id, Off: e.index * c.cfg.BlockSize, Len: c.cfg.BlockSize}, true
 }
 
 func (c *Cache) touch(e *entry) {
@@ -330,19 +357,3 @@ func (c *Cache) unlink(e *entry) {
 	}
 	e.prev, e.next = nil, nil
 }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func sortInt64s(xs []int64) { slices.Sort(xs) }

@@ -9,6 +9,15 @@ func newTest(capBlocks int64, readahead int) *Cache {
 	return New(Config{BlockSize: 4096, Capacity: capBlocks * 4096, ReadaheadBlocks: readahead})
 }
 
+// flushBytes flushes file and returns the byte count written back.
+func flushBytes(c *Cache, file uint64) int64 {
+	var n int64
+	for _, r := range c.FlushFileRanges(file) {
+		n += r.Len
+	}
+	return n
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{BlockSize: 0, Capacity: 4096},
@@ -104,14 +113,29 @@ func TestFlushFile(t *testing.T) {
 	c := newTest(16, 0)
 	c.Insert(1, 0, 3*4096, true)
 	c.Insert(2, 0, 4096, true)
-	if n := c.FlushFile(1); n != 3*4096 {
+	if n := flushBytes(c, 1); n != 3*4096 {
 		t.Fatalf("flush returned %d, want %d", n, 3*4096)
 	}
-	if n := c.FlushFile(1); n != 0 {
+	if n := flushBytes(c, 1); n != 0 {
 		t.Fatalf("second flush returned %d, want 0", n)
 	}
-	if n := c.DirtyBytes(2); n != 4096 {
+	if n := flushBytes(c, 2); n != 4096 {
 		t.Fatalf("file 2 dirty = %d", n)
+	}
+}
+
+// A clean file's flush is a lookup of its (empty) dirty list: no walk of
+// other files' blocks and no allocation.
+func TestFlushCleanFileAllocatesNothing(t *testing.T) {
+	c := newTest(1024, 0)
+	for f := uint64(2); f < 10; f++ {
+		c.Insert(f, 0, 100*4096, f%2 == 0)
+	}
+	c.Insert(1, 0, 8*4096, false)
+	for _, file := range []uint64{1, 99} {
+		if n := testing.AllocsPerRun(100, func() { c.FlushFileRanges(file) }); n != 0 {
+			t.Errorf("FlushFileRanges(%d) on a clean file: %v allocs, want 0", file, n)
+		}
 	}
 }
 

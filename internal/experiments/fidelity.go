@@ -37,6 +37,10 @@ func RecordTraffic(machine string, fs FS, nodes int, cfg traffic.Config) (traffi
 // decides the latencies. Tenant mounts are minted per tenant×node exactly
 // as in RunTrafficWithFaults.
 func ReplayTraceOn(machine string, fs FS, nodes int, tr *trace.Trace, cfg traffic.TraceConfig) (traffic.Report, error) {
+	cfg.Trace = tr
+	if err := cfg.Validate(); err != nil {
+		return traffic.Report{}, err
+	}
 	tb, err := buildTestbed(machine, fs, nodes, nil)
 	if err != nil {
 		return traffic.Report{}, err
@@ -44,7 +48,6 @@ func ReplayTraceOn(machine string, fs FS, nodes int, tr *trace.Trace, cfg traffi
 	mount := func(tenant string, node int) fsapi.Client {
 		return tb.mount(tb.cl.Node(node).Name+"/"+tenant, node)
 	}
-	cfg.Trace = tr
 	return traffic.ReplayTrace(tb.env, tb.fab, nodes, mount, cfg), nil
 }
 

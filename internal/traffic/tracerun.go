@@ -41,6 +41,23 @@ type TraceConfig struct {
 	Observer func(trace.Event)
 }
 
+// Validate reports the first problem with the replay configuration.
+// ReplayTrace panics with its message; callers taking user input check it
+// first.
+func (c TraceConfig) Validate() error {
+	switch {
+	case c.Trace == nil || len(c.Trace.Events) == 0:
+		return fmt.Errorf("replay needs a non-empty trace")
+	case c.IOBytes < 0:
+		return fmt.Errorf("negative per-op transfer size %d", c.IOBytes)
+	case c.MaxInflight < 0:
+		return fmt.Errorf("negative in-flight cap %d", c.MaxInflight)
+	case !(c.SketchAlpha >= 0 && c.SketchAlpha < 1):
+		return fmt.Errorf("sketch alpha %g out of [0,1)", c.SketchAlpha)
+	}
+	return nil
+}
+
 // opWorkload maps a recorded operation onto the engine's workload kinds.
 func opWorkload(o trace.Op) WorkloadKind {
 	switch o {
@@ -82,14 +99,14 @@ func workloadOp(k WorkloadKind) trace.Op {
 // the same admission (the cap sheds under ShedAdmission), the same pooled
 // request bodies, the same accounting.
 func ReplayTrace(env *sim.Env, fab *sim.Fabric, nodes int, mount func(tenant string, node int) fsapi.Client, cfg TraceConfig) Report {
-	if cfg.Trace == nil || len(cfg.Trace.Events) == 0 {
-		panic("traffic: replay needs a non-empty trace")
+	if err := cfg.Validate(); err != nil {
+		panic("traffic: " + err.Error())
 	}
 	if nodes <= 0 {
 		panic("traffic: need at least one node")
 	}
 	ioBytes := cfg.IOBytes
-	if ioBytes <= 0 {
+	if ioBytes == 0 {
 		ioBytes = 1 << 20
 	}
 

@@ -10,6 +10,7 @@ import (
 	"storagesim/internal/fsapi"
 	"storagesim/internal/sim"
 	"storagesim/internal/stats"
+	"storagesim/internal/trace"
 )
 
 // fakeClient is a minimal fsapi.Client for engine tests: every stream
@@ -298,6 +299,24 @@ func TestConfigValidate(t *testing.T) {
 	for name, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+
+	tr := &trace.Trace{Events: []trace.Event{{Tenant: "a", Op: trace.OpRead, Rank: -1}}}
+	if err := (TraceConfig{Trace: tr}).Validate(); err != nil {
+		t.Fatalf("valid trace config rejected: %v", err)
+	}
+	badTrace := map[string]TraceConfig{
+		"no trace":              {},
+		"empty trace":           {Trace: &trace.Trace{}},
+		"negative io bytes":     {Trace: tr, IOBytes: -1},
+		"negative max inflight": {Trace: tr, MaxInflight: -1},
+		"sketch alpha":          {Trace: tr, SketchAlpha: 1},
+		"NaN sketch alpha":      {Trace: tr, SketchAlpha: math.NaN()},
+	}
+	for name, cfg := range badTrace {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("trace config %s: accepted", name)
 		}
 	}
 }
