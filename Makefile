@@ -80,58 +80,47 @@ chaos-smoke:
 	$(GO) test ./internal/experiments -run 'TestChaos(Smoke|StormDeterministic)' -count=1
 
 # Fidelity gate: the round-trip audit (record -> re-ingest -> replay ->
-# error bands) plus the pinned-fixture golden under all three kernel builds
-# (calendar queue, reference heap, forced-sequential groups), and the CLI
+# error bands) plus the pinned-fixture golden under both kernel builds
+# (calendar queue, reference heap), and the CLI
 # auditing the checked-in trace end to end. Regenerate the fixture with
 # `go run ./cmd/tracereplay -record ... -o internal/experiments/testdata/
 # fidelity_trace.jsonl` and the golden with -update-golden.
 fidelity-smoke:
 	$(GO) test ./internal/experiments -run 'TestFidelity|TestGoldenFidelityQuick' -count=1
 	$(GO) test -tags simreference ./internal/experiments -run TestGoldenFidelityQuick -count=1
-	$(GO) test -tags simsequential ./internal/experiments -run TestGoldenFidelityQuick -count=1
 	$(GO) run ./cmd/tracereplay -trace internal/experiments/testdata/fidelity_trace.jsonl \
 		-machine Wombat -fs vast -nodes 2 -audit >/dev/null
 
-# Resilience gate: the retry-storm metastability golden under all three
-# kernel builds (calendar queue, reference heap, forced-sequential groups),
-# the headline-property assertions that pin the metastable contrast, the
-# sharded resilience lockstep (full policy stack byte-identical on 1/2/4
-# executors and under the sequential oracle), and three seeded chaos
+# Resilience gate: the retry-storm metastability golden under both kernel
+# builds (calendar queue, reference heap), the headline-property
+# assertions that pin the metastable contrast, and three seeded chaos
 # storms with breakers armed — zero invariant violations: deadline
 # cancellation and breaker shedding must never over-allocate bandwidth or
 # strand a rebuild.
 resilience-smoke:
 	$(GO) test ./internal/experiments -run 'TestGoldenRetryStormQuick|TestRetryStormMetastability|TestResilienceChaos' -count=1
 	$(GO) test -tags simreference ./internal/experiments -run TestGoldenRetryStormQuick -count=1
-	$(GO) test -tags simsequential ./internal/experiments -run TestGoldenRetryStormQuick -count=1
-	$(GO) test -tags simsequential ./internal/traffic -run TestShardedResilienceLockstep -count=1
 
 # What-if explorer gate: the configsearch/surrogate unit suites, the
 # pinned-fixture search and figure goldens (byte-identical frontier under
-# all three kernel builds), the surrogate-vs-DES differential (rank
+# both kernel builds), the surrogate-vs-DES differential (rank
 # correlation, error bands, exact true-frontier containment) plus the
 # calibration self-check, and the CLI driving a budgeted search end to end.
 whatif-smoke:
 	$(GO) test ./internal/configsearch ./internal/surrogate
 	$(GO) test ./internal/experiments -run 'TestWhatIf|TestGoldenWhatIf' -count=1
 	$(GO) test -tags simreference ./internal/experiments -run TestGoldenWhatIf -count=1
-	$(GO) test -tags simsequential ./internal/experiments -run TestGoldenWhatIf -count=1
 	$(GO) run ./cmd/whatif -space internal/experiments/testdata/whatif_space.json \
 		-budget 60 -print-frontier >/dev/null
 
 # Domain-parallel gate: a two-rack chaos storm advanced on two executors
 # under the race detector must produce the byte-identical digest of the
-# one-executor run; the sharded traffic lockstep goldens run under both
-# the parallel and the forced-sequential (-tags simsequential) builds, and
-# so do the sharded observer streams (buffered per rack, merged after the
-# run) and payload bytes, whose pinned digest also holds under -tags
-# simreference.
+# one-executor run, as must the sharded traffic lockstep golden and the
+# sharded observer streams (buffered per rack, merged after the run) and
+# payload bytes, whose pinned digest also holds under -tags simreference.
 parallel-smoke:
 	$(GO) test -race ./internal/experiments -run 'TestSharded(ChaosSmoke|TrafficLockstep)' -count=1
 	$(GO) test -race ./internal/traffic -run TestShardedObserversLockstep -count=1
-	$(GO) test -tags simsequential ./internal/sim/ -run TestGroup -count=1
-	$(GO) test -tags simsequential ./internal/experiments -run TestShardedTrafficLockstep -count=1
-	$(GO) test -tags simsequential ./internal/traffic -run 'TestSharded(ObserversLockstep|SingleRackMatchesRun)' -count=1
 	$(GO) test -tags simreference ./internal/traffic -run TestShardedObserversLockstep -count=1
 
 # Engine + solver + figure benchmark sweep, recorded machine-readably in

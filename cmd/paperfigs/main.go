@@ -16,11 +16,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	storagesim "storagesim"
+	"storagesim/internal/profiling"
 )
 
 var (
@@ -41,34 +40,7 @@ func main() {
 	flag.Parse()
 	_ = plots
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paperfigs: -memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "paperfigs: -memprofile: %v\n", err)
-				os.Exit(1)
-			}
-		}()
-	}
+	defer profiling.Start(*cpuProfile, *memProfile)()
 
 	opts := storagesim.ExperimentOptions{
 		Reps: *reps, Quick: *quick, Seed: *seed,

@@ -89,9 +89,8 @@ func TestFidelityRoundTrip(t *testing.T) {
 // TestGoldenFidelityQuick pins the rendered audit report of the checked-in
 // fixture trace: the replay's virtual-time results — and therefore every
 // printed digit of every error band — must not move. The same bytes must
-// reproduce under the calendar-queue, reference-heap (-tags simreference)
-// and forced-sequential (-tags simsequential) kernels; the Makefile's
-// fidelity-smoke gate runs all three.
+// reproduce under the calendar-queue and reference-heap (-tags
+// simreference) kernels; the Makefile's fidelity-smoke gate runs both.
 func TestGoldenFidelityQuick(t *testing.T) {
 	tr := loadFixtureTrace(t)
 	report, rep, err := FidelityAudit("Wombat", VAST, 2, tr, AuditOptions{})

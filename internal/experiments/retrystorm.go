@@ -24,7 +24,7 @@ import (
 // The study runs the two client policies over the same deployment, fault
 // schedule and seed, and reports a bucketed goodput/effort timeline. With
 // a fixed seed the whole timeline is byte-deterministic — the quick
-// variant is pinned as a golden across all three kernel builds.
+// variant is pinned as a golden across both kernel builds.
 
 // Retry-storm timeline constants. The fault window [stormFaultAt,
 // stormRestoreAt) derates the deployment's backend links to stormFactor

@@ -30,7 +30,7 @@ func quickStorm(t *testing.T) RetryStormResult {
 // variants. The deadline cancellations, jittered backoffs, breaker
 // transitions and fault delivery are all part of the deterministic
 // schedule, so the bytes must not move across runs, executor counts or
-// kernel builds (default, -tags simreference, -tags simsequential).
+// kernel builds (default, -tags simreference).
 func TestGoldenRetryStormQuick(t *testing.T) {
 	res := quickStorm(t)
 	var b strings.Builder

@@ -9,7 +9,7 @@ import (
 
 // The what-if figure: two deployment spaces, each searched with the
 // calibrated surrogate and DES-verified, rendered as predicted-vs-measured
-// frontier panels. Pinned as a golden across all three kernel builds.
+// frontier panels. Pinned as a golden across both kernel builds.
 
 // WhatIfFixtureSpace is the pinned Wombat knob space of the differential
 // tests and the figure's first panel: the RDMA VAST deployment swept over

@@ -56,8 +56,8 @@ func TestWhatIfFixtureSpace(t *testing.T) {
 
 // TestGoldenWhatIfQuick pins the explorer's frontier table on the fixture
 // space: calibrated surrogate, margin-band pruning, DES verification of
-// the survivors. The golden is byte-identical across the default,
-// simreference and simsequential kernel builds, and the run is asserted
+// the survivors. The golden is byte-identical across the default and
+// simreference kernel builds, and the run is asserted
 // deterministic by rendering twice.
 func TestGoldenWhatIfQuick(t *testing.T) {
 	space := loadWhatIfSpace(t)

@@ -1,9 +1,14 @@
-// Package fsbase factors the client-side mechanics shared by every
-// simulated file system: a write-back page cache in front of a
-// system-specific backend, fsync semantics, readahead-driven reads, and
-// close-to-open invalidation. The concrete systems (vast, gpfs, lustre,
-// nvmelocal) supply only their network/server/device paths via the Backend
-// interface.
+// Package fsbase factors the op-level client mechanics shared by every
+// simulated file system: open and unlink, flow-tag stamping, abort checks,
+// an optional write-back page cache in front of a system-specific backend,
+// fsync and close semantics, and readahead-driven reads. The five concrete
+// systems (vast, gpfs, lustre, nvmelocal, unifyfs) embed ClientCore and
+// supply only their network/server/device paths via the Backend interface.
+//
+// A cached client buffers writes: fsync and close push the file's dirty
+// extents and then commit once if any were pushed. A cache-less client
+// (Cache nil: direct I/O, or a user-level store such as UnifyFS) writes
+// through to the backend, so fsync commits once and close commits nothing.
 package fsbase
 
 import (
@@ -17,7 +22,7 @@ import (
 // network, server and device costs of the operation.
 type Backend interface {
 	// OpWrite pushes [off,+n) durably to the storage system (called from
-	// Fsync, or directly for write-through systems).
+	// Fsync and on eviction, or directly by cache-less clients).
 	OpWrite(p *sim.Proc, ino *fsapi.Inode, off, n int64)
 	// OpRead fetches [off,+n) from the storage system into the client
 	// (called on client-cache miss, including readahead ranges).
@@ -25,13 +30,15 @@ type Backend interface {
 	// OpenLatency is charged once per Open (metadata RPC).
 	OpenLatency(p *sim.Proc, ino *fsapi.Inode)
 	// OpCommit is charged once per fsync after the dirty data has been
-	// pushed: the durable-commit cost of the system (RAID parity commit,
-	// intent-log write, NVMe cache drain). May be a no-op.
+	// pushed (on a cache-less client, once per fsync): the durable-commit
+	// cost of the system (RAID parity commit, intent-log write, NVMe cache
+	// drain). May be a no-op.
 	OpCommit(p *sim.Proc, ino *fsapi.Inode)
 }
 
-// ClientCore implements the cached op-level half of fsapi.Client.
-// Embed it in a concrete client and implement the stream methods there.
+// ClientCore implements the op-level half of fsapi.Client (FSName,
+// NodeName, Open, Remove, DropCaches) and fsapi.FlowTagger. Embed it in a
+// concrete client and implement the stream methods there.
 type ClientCore struct {
 	FS      string
 	Node    string
@@ -40,9 +47,6 @@ type ClientCore struct {
 	// Cache is the client page cache; nil models a cache-less client
 	// (direct I/O).
 	Cache *cache.Cache
-	// WriteThrough skips the page cache on writes (data still lands in the
-	// cache clean, so re-reads hit).
-	WriteThrough bool
 	// FlowTag attributes this mount's fabric traffic to a tenant (see
 	// fsapi.FlowTagger); "" is the untagged default.
 	FlowTag string
@@ -128,8 +132,8 @@ func (f *file) Size() int64 { return f.ino.Size }
 // WriteAt implements fsapi.File. With a cache and write-back semantics the
 // write lands dirty in the page cache (evictions force synchronous
 // write-back of the victims, which is how a cache smaller than the working
-// set degrades to device speed). Write-through or cache-less clients push
-// straight to the backend.
+// set degrades to device speed). Cache-less clients push straight to the
+// backend.
 func (f *file) WriteAt(p *sim.Proc, off, n int64) {
 	if n <= 0 {
 		return
@@ -137,11 +141,8 @@ func (f *file) WriteAt(p *sim.Proc, off, n int64) {
 	c := f.client
 	c.Stamp(p)
 	c.NS.Extend(f.ino, off, n)
-	if c.Cache == nil || c.WriteThrough {
+	if c.Cache == nil {
 		c.Backend.OpWrite(p, f.ino, off, n)
-		if c.Cache != nil {
-			c.Cache.Insert(f.ino.ID, off, n, false)
-		}
 		return
 	}
 	evicted := c.Cache.Insert(f.ino.ID, off, n, true)
@@ -193,12 +194,14 @@ func (f *file) ReadAt(p *sim.Proc, off, n int64) {
 }
 
 // Fsync implements fsapi.File: all dirty bytes of the file go durably to
-// the backend.
+// the backend, then the system commits. A cache-less client has nothing
+// buffered, so it only commits.
 func (f *file) Fsync(p *sim.Proc) {
 	c := f.client
 	c.Stamp(p)
-	if c.Cache == nil || c.WriteThrough {
-		return // nothing buffered client-side
+	if c.Cache == nil {
+		c.Backend.OpCommit(p, f.ino)
+		return
 	}
 	ranges := c.Cache.FlushFileRanges(f.ino.ID)
 	for _, r := range ranges {
@@ -214,15 +217,18 @@ func (f *file) Fsync(p *sim.Proc) {
 	}
 }
 
-// Close implements fsapi.File: flush (close-to-open consistency) without
-// invalidation; the paper's cross-node read methodology is modeled by
-// DropCaches on the reading client instead.
+// Close implements fsapi.File: a cached client flushes (close-to-open
+// consistency) without invalidation; the paper's cross-node read
+// methodology is modeled by DropCaches on the reading client instead. A
+// cache-less client has nothing to flush and commits nothing.
 func (f *file) Close(p *sim.Proc) {
 	if f.closed {
 		return
 	}
 	f.closed = true
-	f.Fsync(p)
+	if f.client.Cache != nil {
+		f.Fsync(p)
+	}
 }
 
 // clampToEOF trims a block-rounded range to the file size.

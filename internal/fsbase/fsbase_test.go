@@ -114,25 +114,6 @@ func TestEvictionForcesWriteback(t *testing.T) {
 	}
 }
 
-func TestWriteThrough(t *testing.T) {
-	be := &recBackend{}
-	core := newCore(be, 64, 0)
-	core.WriteThrough = true
-	e := sim.NewEnv()
-	e.Go("w", func(p *sim.Proc) {
-		f := core.Open(p, "/a", true)
-		f.WriteAt(p, 0, 1<<20)
-		if len(be.writes) != 1 {
-			t.Error("write-through did not push immediately")
-		}
-		f.Fsync(p) // nothing extra
-	})
-	e.Run()
-	if len(be.writes) != 1 {
-		t.Fatalf("fsync on write-through pushed again: %v", be.writes)
-	}
-}
-
 func TestReadMissFetchesAndCaches(t *testing.T) {
 	be := &recBackend{readLat: time.Millisecond}
 	core := newCore(be, 64, 0)
@@ -227,11 +208,18 @@ func TestCachelessClient(t *testing.T) {
 		f.WriteAt(p, 0, 1<<20) // direct
 		f.ReadAt(p, 0, 1<<20)  // direct
 		f.ReadAt(p, 0, 1<<20)  // direct again (no caching)
-		f.Fsync(p)             // no-op
+		f.Fsync(p)             // nothing buffered: commit only
+		if be.commits != 1 {
+			t.Errorf("cacheless fsync committed %d times, want 1", be.commits)
+		}
+		f.Close(p) // nothing to flush or commit
 	})
 	e.Run()
 	if len(be.writes) != 1 || len(be.reads) != 2 {
 		t.Fatalf("cacheless traffic: writes=%v reads=%v", be.writes, be.reads)
+	}
+	if be.commits != 1 {
+		t.Fatalf("cacheless close committed: %d commits, want 1", be.commits)
 	}
 }
 

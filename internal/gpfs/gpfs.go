@@ -183,7 +183,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 			ReadaheadBlocks: 16, // GPFS prefetch is aggressive
 		})
 	}
-	cl.core = fsbase.ClientCore{
+	cl.ClientCore = fsbase.ClientCore{
 		FS:      s.cfg.Name,
 		Node:    node,
 		NS:      s.ns,
@@ -198,7 +198,7 @@ type client struct {
 	nic       *netsim.Iface
 	stackUp   *sim.Pipe // per-node write ceiling
 	stackDown *sim.Pipe // per-node read ceiling
-	core      fsbase.ClientCore
+	fsbase.ClientCore
 
 	// cached network paths (see Mount); treated as immutable.
 	writePath   []*sim.Pipe
@@ -208,26 +208,6 @@ type client struct {
 
 type backend client
 
-// FSName implements fsapi.Client.
-func (c *client) FSName() string { return c.core.FSName() }
-
-// NodeName implements fsapi.Client.
-func (c *client) NodeName() string { return c.core.NodeName() }
-
-// Open implements fsapi.Client.
-func (c *client) Open(p *sim.Proc, path string, truncate bool) fsapi.File {
-	return c.core.Open(p, path, truncate)
-}
-
-// Remove implements fsapi.Client.
-func (c *client) Remove(p *sim.Proc, path string) { c.core.Remove(p, path) }
-
-// DropCaches implements fsapi.Client.
-func (c *client) DropCaches() { c.core.DropCaches() }
-
-// SetFlowTag implements fsapi.FlowTagger.
-func (c *client) SetFlowTag(tag string) { c.core.SetFlowTag(tag) }
-
 // writePipes is the network path of a client→NSD write.
 func (c *client) writePipes() []*sim.Pipe { return c.writePath }
 
@@ -236,7 +216,7 @@ func (c *client) readPipes() []*sim.Pipe { return c.readPath }
 
 // StreamWrite implements fsapi.Client: one flow into the RAID pool.
 func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}
@@ -250,7 +230,7 @@ func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, t
 // client streaming cap; random streams fall through to the spinning media
 // and additionally pay the blocking-request ceiling.
 func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}

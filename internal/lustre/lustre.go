@@ -152,7 +152,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 			ReadaheadBlocks: 8,
 		})
 	}
-	cl.core = fsbase.ClientCore{
+	cl.ClientCore = fsbase.ClientCore{
 		FS:      s.cfg.Name,
 		Node:    node,
 		NS:      s.ns,
@@ -163,9 +163,9 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 }
 
 type client struct {
-	sys  *System
-	nic  *netsim.Iface
-	core fsbase.ClientCore
+	sys *System
+	nic *netsim.Iface
+	fsbase.ClientCore
 
 	// cached network paths (see Mount); treated as immutable.
 	writePath []*sim.Pipe
@@ -174,26 +174,6 @@ type client struct {
 
 type backend client
 
-// FSName implements fsapi.Client.
-func (c *client) FSName() string { return c.core.FSName() }
-
-// NodeName implements fsapi.Client.
-func (c *client) NodeName() string { return c.core.NodeName() }
-
-// Open implements fsapi.Client.
-func (c *client) Open(p *sim.Proc, path string, truncate bool) fsapi.File {
-	return c.core.Open(p, path, truncate)
-}
-
-// Remove implements fsapi.Client.
-func (c *client) Remove(p *sim.Proc, path string) { c.core.Remove(p, path) }
-
-// DropCaches implements fsapi.Client.
-func (c *client) DropCaches() { c.core.DropCaches() }
-
-// SetFlowTag implements fsapi.FlowTagger.
-func (c *client) SetFlowTag(tag string) { c.core.SetFlowTag(tag) }
-
 func (c *client) writePipes() []*sim.Pipe { return c.writePath }
 
 func (c *client) readPipes() []*sim.Pipe { return c.readPath }
@@ -201,7 +181,7 @@ func (c *client) readPipes() []*sim.Pipe { return c.readPath }
 // StreamWrite implements fsapi.Client: one stripe-1 flow, capped by its
 // single OST.
 func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}
@@ -212,7 +192,7 @@ func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, t
 
 // StreamRead implements fsapi.Client.
 func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}

@@ -144,7 +144,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 				ReadaheadBlocks: 16,
 			})
 		}
-		cl.core = fsbase.ClientCore{
+		cl.ClientCore = fsbase.ClientCore{
 			FS:      s.cfg.Name,
 			Node:    node,
 			NS:      st.ns,
@@ -174,7 +174,7 @@ func (s *System) Peer(node string) string {
 type client struct {
 	sys  *System
 	node *nodeState
-	core fsbase.ClientCore
+	fsbase.ClientCore
 
 	// One-entry cache of the cross-node read path: the round-robin peer
 	// only changes while nodes are still mounting, so tag by source node
@@ -185,31 +185,11 @@ type client struct {
 
 type backend client
 
-// FSName implements fsapi.Client.
-func (c *client) FSName() string { return c.core.FSName() }
-
-// NodeName implements fsapi.Client.
-func (c *client) NodeName() string { return c.core.NodeName() }
-
-// Open implements fsapi.Client.
-func (c *client) Open(p *sim.Proc, path string, truncate bool) fsapi.File {
-	return c.core.Open(p, path, truncate)
-}
-
-// Remove implements fsapi.Client.
-func (c *client) Remove(p *sim.Proc, path string) { c.core.Remove(p, path) }
-
-// DropCaches implements fsapi.Client.
-func (c *client) DropCaches() { c.core.DropCaches() }
-
-// SetFlowTag implements fsapi.FlowTagger.
-func (c *client) SetFlowTag(tag string) { c.core.SetFlowTag(tag) }
-
 // StreamWrite implements fsapi.Client: the page cache absorbs up to the
 // remaining dirty budget at memory speed; the rest runs at device speed
 // (write-back throttling).
 func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}
@@ -254,7 +234,7 @@ func (st *nodeState) drainDirty(now sim.Time) {
 // device and crosses the interconnect (local read when this node is its
 // own peer).
 func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}

@@ -99,7 +99,7 @@ type xmsg struct {
 // executor goroutines that advance shards concurrently: 0 means
 // GOMAXPROCS, 1 means strictly sequential in-line execution (the
 // differential oracle), and any value is further clamped to the shard
-// count. Building with `-tags simsequential` forces 1 group-wide.
+// count.
 func NewGroup(parallel int) *Group {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
@@ -341,11 +341,8 @@ func (g *Group) advance(boundary Time) {
 }
 
 // parallelism is the effective executor count: the configured cap, clamped
-// to the shard count, forced to 1 by the simsequential build tag.
+// to the shard count.
 func (g *Group) parallelism() int {
-	if forceSequentialGroups {
-		return 1
-	}
 	n := g.executors
 	if n > len(g.shards) {
 		n = len(g.shards)

@@ -79,52 +79,64 @@ func TestGroupLockstep(t *testing.T) {
 	}
 }
 
+// forExecutors runs body once on the in-line path (one executor) and once
+// on parallel executors, as a subtest each.
+func forExecutors(t *testing.T, parallel int, body func(t *testing.T, parallel int)) {
+	for _, n := range []int{1, parallel} {
+		t.Run(fmt.Sprintf("executors=%d", n), func(t *testing.T) { body(t, n) })
+	}
+}
+
 // TestGroupMessageTiming checks that a message runs on the destination at
 // exactly send-time + link latency + extra, and that the destination clock
 // has reached (not passed) that instant.
 func TestGroupMessageTiming(t *testing.T) {
-	g := NewGroup(2)
-	a := g.AddShard("a", NewEnv())
-	b := g.AddShard("b", NewEnv())
-	g.Link(a, b, 150)
-	var got Time
-	a.Env().Go("sender", func(p *Proc) {
-		p.Sleep(40)
-		a.Send(b, 25, func() { got = b.Env().Now() })
+	forExecutors(t, 2, func(t *testing.T, parallel int) {
+		g := NewGroup(parallel)
+		a := g.AddShard("a", NewEnv())
+		b := g.AddShard("b", NewEnv())
+		g.Link(a, b, 150)
+		var got Time
+		a.Env().Go("sender", func(p *Proc) {
+			p.Sleep(40)
+			a.Send(b, 25, func() { got = b.Env().Now() })
+		})
+		g.Run(1000)
+		g.Shutdown()
+		if want := Time(40 + 150 + 25); got != want {
+			t.Fatalf("message ran at %d, want %d", got, want)
+		}
 	})
-	g.Run(1000)
-	g.Shutdown()
-	if want := Time(40 + 150 + 25); got != want {
-		t.Fatalf("message ran at %d, want %d", got, want)
-	}
 }
 
 // TestGroupIdleSkip runs a sparse model whose events are separated by
 // thousands of lookaheads: the run must still complete promptly (the
 // coordinator jumps empty windows) and deliver messages at exact times.
 func TestGroupIdleSkip(t *testing.T) {
-	g := NewGroup(2)
-	a := g.AddShard("a", NewEnv())
-	b := g.AddShard("b", NewEnv())
-	g.Link(a, b, 10)
-	g.Link(b, a, 10)
-	var times []Time
-	a.Env().Go("sparse", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(1_000_000) // 100k lookaheads of silence
-			a.Send(b, 0, func() { times = append(times, b.Env().Now()) })
+	forExecutors(t, 2, func(t *testing.T, parallel int) {
+		g := NewGroup(parallel)
+		a := g.AddShard("a", NewEnv())
+		b := g.AddShard("b", NewEnv())
+		g.Link(a, b, 10)
+		g.Link(b, a, 10)
+		var times []Time
+		a.Env().Go("sparse", func(p *Proc) {
+			for i := 0; i < 5; i++ {
+				p.Sleep(1_000_000) // 100k lookaheads of silence
+				a.Send(b, 0, func() { times = append(times, b.Env().Now()) })
+			}
+		})
+		g.Run(10_000_000)
+		g.Shutdown()
+		if len(times) != 5 {
+			t.Fatalf("delivered %d messages, want 5", len(times))
+		}
+		for i, at := range times {
+			if want := Time(1_000_000*(i+1) + 10); at != want {
+				t.Errorf("message %d at %d, want %d", i, at, want)
+			}
 		}
 	})
-	g.Run(10_000_000)
-	g.Shutdown()
-	if len(times) != 5 {
-		t.Fatalf("delivered %d messages, want 5", len(times))
-	}
-	for i, at := range times {
-		if want := Time(1_000_000*(i+1) + 10); at != want {
-			t.Errorf("message %d at %d, want %d", i, at, want)
-		}
-	}
 }
 
 // TestGroupSingleShard: a one-shard group behaves exactly like RunUntil on
@@ -151,52 +163,56 @@ func TestGroupSingleShard(t *testing.T) {
 // TestGroupResume: Run may be called repeatedly with increasing deadlines
 // and the barrier clock picks up where it stopped.
 func TestGroupResume(t *testing.T) {
-	g := NewGroup(2)
-	a := g.AddShard("a", NewEnv())
-	b := g.AddShard("b", NewEnv())
-	g.Link(a, b, 50)
-	var hits []Time
-	a.Env().Go("p", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			p.Sleep(100)
-			a.Send(b, 0, func() { hits = append(hits, b.Env().Now()) })
+	forExecutors(t, 2, func(t *testing.T, parallel int) {
+		g := NewGroup(parallel)
+		a := g.AddShard("a", NewEnv())
+		b := g.AddShard("b", NewEnv())
+		g.Link(a, b, 50)
+		var hits []Time
+		a.Env().Go("p", func(p *Proc) {
+			for i := 0; i < 4; i++ {
+				p.Sleep(100)
+				a.Send(b, 0, func() { hits = append(hits, b.Env().Now()) })
+			}
+		})
+		g.Run(120)
+		if g.Now() != 120 {
+			t.Fatalf("clock %d after first run, want 120", g.Now())
+		}
+		g.Run(1000)
+		g.Shutdown()
+		if len(hits) != 4 {
+			t.Fatalf("got %d deliveries, want 4", len(hits))
+		}
+		for i, at := range hits {
+			if want := Time(100*(i+1) + 50); at != want {
+				t.Errorf("delivery %d at %d, want %d", i, at, want)
+			}
 		}
 	})
-	g.Run(120)
-	if g.Now() != 120 {
-		t.Fatalf("clock %d after first run, want 120", g.Now())
-	}
-	g.Run(1000)
-	g.Shutdown()
-	if len(hits) != 4 {
-		t.Fatalf("got %d deliveries, want 4", len(hits))
-	}
-	for i, at := range hits {
-		if want := Time(100*(i+1) + 50); at != want {
-			t.Errorf("delivery %d at %d, want %d", i, at, want)
-		}
-	}
 }
 
-// TestGroupPanicPropagation: a model-callback panic inside a parallel
-// window surfaces at the Run caller (process-function panics crash on their
-// worker goroutine, exactly as in single-Env runs).
+// TestGroupPanicPropagation: a model-callback panic inside a window, in-line
+// or parallel, surfaces at the Run caller (process-function panics crash on
+// their worker goroutine, exactly as in single-Env runs).
 func TestGroupPanicPropagation(t *testing.T) {
-	g := NewGroup(4)
-	shards := make([]*Shard, 4)
-	for i := range shards {
-		shards[i] = g.AddShard(fmt.Sprintf("s%d", i), NewEnv())
-	}
-	g.LinkAll(100)
-	shards[2].Env().Schedule(30, func() { panic("model bug") })
-	defer func() {
-		if r := recover(); r != "model bug" {
-			t.Fatalf("recovered %v, want model bug", r)
+	forExecutors(t, 4, func(t *testing.T, parallel int) {
+		g := NewGroup(parallel)
+		shards := make([]*Shard, 4)
+		for i := range shards {
+			shards[i] = g.AddShard(fmt.Sprintf("s%d", i), NewEnv())
 		}
-		g.Shutdown()
-	}()
-	g.Run(1000)
-	t.Fatal("run returned despite panicking model")
+		g.LinkAll(100)
+		shards[2].Env().Schedule(30, func() { panic("model bug") })
+		defer func() {
+			if r := recover(); r != "model bug" {
+				t.Fatalf("recovered %v, want model bug", r)
+			}
+			g.Shutdown()
+		}()
+		g.Run(1000)
+		t.Fatal("run returned despite panicking model")
+	})
 }
 
 // TestGroupValidation covers the constructor/topology guard rails.

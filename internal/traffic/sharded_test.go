@@ -116,9 +116,8 @@ func resilientShardedDigest(t *testing.T, parallel int) string {
 // TestShardedResilienceLockstep extends the lockstep gate to the resilience
 // layer: with deadlines cancelling transfers mid-flight, jittered retries,
 // hedge races and breaker state all active across three coupled racks, the
-// digest must still be byte-identical on 1, 2 and 4 executors. This also
-// holds under -tags simsequential / simreference (the resilience smoke
-// target runs all three kernel builds).
+// digest must still be byte-identical on 1, 2 and 4 executors, where one
+// executor is the in-line sequential oracle.
 func TestShardedResilienceLockstep(t *testing.T) {
 	want := resilientShardedDigest(t, 1)
 	for _, parallel := range []int{2, 4} {
@@ -257,14 +256,14 @@ func observedShardedDigest(t *testing.T, parallel int) string {
 }
 
 // observedShardedSHA pins observedShardedDigest, so the streams must also
-// match across kernel builds (default, simreference, simsequential).
+// match across kernel builds (default, simreference).
 const observedShardedSHA = "df447ac5d1740906020d3b98f80a80cf6c00da5052fd3ebc9289fd2fbdd36b8f"
 
 // TestShardedObserversLockstep: with remote placement coupling three
 // racks, both observer streams and every rack's payload bytes are
 // byte-identical whether the racks advance on one executor or two, and
 // the drained run leaves nothing in flight. make parallel-smoke runs it
-// under -race and under -tags simsequential.
+// under -race and under -tags simreference.
 func TestShardedObserversLockstep(t *testing.T) {
 	want := observedShardedDigest(t, 1)
 	if got := observedShardedDigest(t, 2); got != want {

@@ -14,8 +14,9 @@
 //     throughput exactly the way a misconfigured UnifyFS deployment does.
 //
 // UnifyFS bypasses the kernel page cache (it is a user-level burst
-// buffer), so there is no client cache layer and fsync costs only the
-// local device flush.
+// buffer), so each mount is a cache-less fsbase client: op-level writes
+// and reads go straight to the chunk owners, fsync costs only the local
+// device flush, and close costs nothing.
 package unifyfs
 
 import (
@@ -24,6 +25,7 @@ import (
 	"storagesim/internal/device"
 	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
+	"storagesim/internal/fsbase"
 	"storagesim/internal/netsim"
 	"storagesim/internal/sim"
 )
@@ -91,18 +93,14 @@ type System struct {
 	ns  *fsapi.Namespace
 
 	nodes []*nodeState
-	// chunkOwner maps (inode, chunk index) to the owning node's index.
-	chunkOwner map[chunkKey]int
+	// owners maps an inode to its chunks' owning node indices, keyed by
+	// chunk index, so unlinking a file drops its placement in one delete.
+	owners map[uint64]map[int64]int
 
 	// Fault state (see faults.go): up is the failure domain of the mounted
 	// nodes; mediaHealth the prevailing device derate.
 	up          faults.Domain
 	mediaHealth float64
-}
-
-type chunkKey struct {
-	ino   uint64
-	chunk int64
 }
 
 type nodeState struct {
@@ -122,7 +120,7 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 		env:         env,
 		fab:         fab,
 		ns:          fsapi.NewNamespace(),
-		chunkOwner:  map[chunkKey]int{},
+		owners:      map[uint64]map[int64]int{},
 		up:          faults.NewDomain("unifyfs "+cfg.Name, "node", 0),
 		mediaHealth: 1,
 	}, nil
@@ -159,13 +157,20 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 	}
 	s.nodes = append(s.nodes, st)
 	s.up.Grow()
-	return &client{sys: s, node: st, idx: len(s.nodes) - 1}
+	cl := &client{sys: s, node: st, idx: len(s.nodes) - 1}
+	cl.ClientCore = fsbase.ClientCore{
+		FS:      s.cfg.Name,
+		Node:    node,
+		NS:      s.ns,
+		Backend: (*backend)(cl),
+	}
+	return cl
 }
 
 // owner resolves (and on writes, assigns) the node owning a chunk.
 func (s *System) owner(ino uint64, chunk int64, writerIdx int, assign bool) int {
-	key := chunkKey{ino, chunk}
-	if idx, ok := s.chunkOwner[key]; ok {
+	chunks := s.owners[ino]
+	if idx, ok := chunks[chunk]; ok {
 		return idx
 	}
 	if !assign {
@@ -175,76 +180,27 @@ func (s *System) owner(ino uint64, chunk int64, writerIdx int, assign bool) int 
 	if s.cfg.Placement == RoundRobin {
 		idx = int(chunk) % len(s.nodes)
 	}
-	s.chunkOwner[key] = idx
+	if chunks == nil {
+		chunks = map[int64]int{}
+		s.owners[ino] = chunks
+	}
+	chunks[chunk] = idx
 	return idx
 }
 
+// client is one mount: a cache-less fsbase client whose backend (the same
+// struct viewed through fsbase.Backend) serves each op chunk by chunk.
 type client struct {
+	fsbase.ClientCore
 	sys  *System
 	node *nodeState
 	idx  int
-
-	// tag attributes this mount's fabric traffic (fsapi.FlowTagger); tagID
-	// caches its interned handle (valid while tagFor == tag).
-	tag    string
-	tagID  sim.FlowTag
-	tagFor string
 
 	// Per-owner interconnect paths, cached on first use (chunk sweeps hit
 	// the same few owners over and over); indexed by owner node, one slice
 	// per direction. Treated as immutable once built.
 	toOwner   map[*nodeState][]*sim.Pipe
 	fromOwner map[*nodeState][]*sim.Pipe
-}
-
-// FSName implements fsapi.Client.
-func (c *client) FSName() string { return c.sys.cfg.Name }
-
-// NodeName implements fsapi.Client.
-func (c *client) NodeName() string { return c.node.name }
-
-// DropCaches implements fsapi.Client: UnifyFS has no client page cache.
-func (c *client) DropCaches() {}
-
-// SetFlowTag implements fsapi.FlowTagger.
-func (c *client) SetFlowTag(tag string) { c.tag = tag }
-
-// stamp applies the mount's flow tag to the calling process at every
-// data-path entry (see fsbase.ClientCore.Stamp for the convention). The
-// interned handle is cached so the per-op stamp is an integer write.
-func (c *client) stamp(p *sim.Proc) {
-	if c.tagFor != c.tag {
-		c.tagID = p.Env().InternTag(c.tag)
-		c.tagFor = c.tag
-	}
-	p.SetFlowTagID(c.tagID)
-}
-
-// Remove implements fsapi.Client.
-func (c *client) Remove(p *sim.Proc, path string) {
-	c.stamp(p)
-	ino := c.sys.ns.Lookup(path)
-	if ino == nil {
-		return
-	}
-	if c.sys.cfg.ServerLatency > 0 {
-		p.Sleep(c.sys.cfg.ServerLatency)
-	}
-	c.sys.ns.Remove(path)
-	for k := range c.sys.chunkOwner {
-		if k.ino == ino.ID {
-			delete(c.sys.chunkOwner, k)
-		}
-	}
-}
-
-// Open implements fsapi.Client.
-func (c *client) Open(p *sim.Proc, path string, truncate bool) fsapi.File {
-	c.stamp(p)
-	if c.sys.cfg.ServerLatency > 0 {
-		p.Sleep(c.sys.cfg.ServerLatency)
-	}
-	return &file{c: c, ino: c.sys.ns.Create(path, truncate)}
 }
 
 // remotePath returns the interconnect pipes from the owner node back to
@@ -282,10 +238,64 @@ func (c *client) remotePath(owner *nodeState, toOwner bool) []*sim.Pipe {
 	return path
 }
 
-// chunkIO serves one op-level chunk access on its owner.
-func (c *client) chunkIO(p *sim.Proc, ino *fsapi.Inode, off, n int64, write, assign bool) {
+type backend client
+
+// Remove implements fsapi.Client: the core's metadata round trip and
+// unlink, then the file's chunk placement is dropped.
+func (c *client) Remove(p *sim.Proc, path string) {
+	ino := c.sys.ns.Lookup(path)
+	c.ClientCore.Remove(p, path)
+	if ino != nil {
+		delete(c.sys.owners, ino.ID)
+	}
+}
+
+// OpWrite implements fsbase.Backend: chunk-granular placement and service.
+func (b *backend) OpWrite(p *sim.Proc, ino *fsapi.Inode, off, n int64) {
+	(*client)(b).chunks(p, ino, off, n, true)
+}
+
+// OpRead implements fsbase.Backend.
+func (b *backend) OpRead(p *sim.Proc, ino *fsapi.Inode, off, n int64) {
+	(*client)(b).chunks(p, ino, off, n, false)
+}
+
+// OpenLatency implements fsbase.Backend: one user-level server RPC.
+func (b *backend) OpenLatency(p *sim.Proc, ino *fsapi.Inode) {
+	if d := b.sys.cfg.ServerLatency; d > 0 {
+		p.Sleep(d)
+	}
+}
+
+// OpCommit implements fsbase.Backend: UnifyFS laminates on the local
+// device only.
+func (b *backend) OpCommit(p *sim.Proc, ino *fsapi.Inode) {
+	b.node.dev.Flush(p)
+}
+
+// chunks splits [off,+n) on chunk boundaries and serves each piece on its
+// owner, stopping at the next boundary once the request is aborted.
+func (c *client) chunks(p *sim.Proc, ino *fsapi.Inode, off, n int64, write bool) {
+	cb := c.sys.cfg.ChunkBytes
+	for n > 0 {
+		if p.Aborted() {
+			return
+		}
+		cn := cb - off%cb
+		if cn > n {
+			cn = n
+		}
+		c.chunkIO(p, ino, off, cn, write)
+		off += cn
+		n -= cn
+	}
+}
+
+// chunkIO serves one op-level chunk access on its owner; writes assign
+// ownership of unwritten chunks.
+func (c *client) chunkIO(p *sim.Proc, ino *fsapi.Inode, off, n int64, write bool) {
 	s := c.sys
-	ownerIdx := s.owner(ino.ID, off/s.cfg.ChunkBytes, c.idx, assign)
+	ownerIdx := s.owner(ino.ID, off/s.cfg.ChunkBytes, c.idx, write)
 	owner := s.nodes[ownerIdx]
 	owner.svc.Acquire(p, 1)
 	if s.cfg.ServerLatency > 0 {
@@ -315,7 +325,7 @@ func (c *client) localRemoteSplit(total int64) (local, remote int64) {
 // StreamWrite implements fsapi.Client: local share to the own device,
 // remote share across the interconnect to the peers' devices in parallel.
 func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}
@@ -335,7 +345,7 @@ func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, t
 // engine models the common IOR reorder case by checking chunk ownership of
 // chunk 0.
 func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}
@@ -397,61 +407,6 @@ func (c *client) streamSplit(p *sim.Proc, a fsapi.Access, ioSize, local, remote 
 	}
 	wg.Wait(p)
 }
-
-type file struct {
-	c   *client
-	ino *fsapi.Inode
-}
-
-// Path implements fsapi.File.
-func (f *file) Path() string { return f.ino.Path }
-
-// Size implements fsapi.File.
-func (f *file) Size() int64 { return f.ino.Size }
-
-// WriteAt implements fsapi.File: chunk-granular placement and service.
-func (f *file) WriteAt(p *sim.Proc, off, n int64) {
-	if n <= 0 {
-		return
-	}
-	f.c.sys.ns.Extend(f.ino, off, n)
-	f.forEachChunk(off, n, func(coff, cn int64) {
-		f.c.chunkIO(p, f.ino, coff, cn, true, true)
-	})
-}
-
-// ReadAt implements fsapi.File.
-func (f *file) ReadAt(p *sim.Proc, off, n int64) {
-	if n <= 0 {
-		return
-	}
-	fsapi.ValidateRead(f.ino, off, n)
-	f.forEachChunk(off, n, func(coff, cn int64) {
-		f.c.chunkIO(p, f.ino, coff, cn, false, false)
-	})
-}
-
-// forEachChunk splits [off,+n) on chunk boundaries.
-func (f *file) forEachChunk(off, n int64, fn func(coff, cn int64)) {
-	cb := f.c.sys.cfg.ChunkBytes
-	for n > 0 {
-		cn := cb - off%cb
-		if cn > n {
-			cn = n
-		}
-		fn(off, cn)
-		off += cn
-		n -= cn
-	}
-}
-
-// Fsync implements fsapi.File: UnifyFS laminates on the local device only.
-func (f *file) Fsync(p *sim.Proc) {
-	f.c.node.dev.Flush(p)
-}
-
-// Close implements fsapi.File.
-func (f *file) Close(p *sim.Proc) {}
 
 // Interface checks.
 var _ fsapi.Client = (*client)(nil)

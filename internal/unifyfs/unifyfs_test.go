@@ -88,9 +88,11 @@ func TestLocalFirstKeepsWritesLocal(t *testing.T) {
 		}
 	})
 	env.Run()
-	for k, owner := range sys.chunkOwner {
-		if owner != 2 {
-			t.Fatalf("chunk %v placed on node %d, want writer's node 2", k, owner)
+	for ino, chunks := range sys.owners {
+		for k, owner := range chunks {
+			if owner != 2 {
+				t.Fatalf("inode %d chunk %d placed on node %d, want writer's node 2", ino, k, owner)
+			}
 		}
 	}
 }
@@ -105,8 +107,10 @@ func TestRoundRobinStripesChunks(t *testing.T) {
 	})
 	env.Run()
 	seen := map[int]int{}
-	for _, owner := range sys.chunkOwner {
-		seen[owner]++
+	for _, chunks := range sys.owners {
+		for _, owner := range chunks {
+			seen[owner]++
+		}
 	}
 	if len(seen) != 4 {
 		t.Fatalf("stripes used %d of 4 nodes: %v", len(seen), seen)
@@ -222,8 +226,8 @@ func TestRemoveDropsChunks(t *testing.T) {
 		mounts[0].Remove(p, "/f")
 	})
 	env.Run()
-	if len(sys.chunkOwner) != 0 {
-		t.Fatalf("%d chunks survived removal", len(sys.chunkOwner))
+	if len(sys.owners) != 0 {
+		t.Fatalf("chunks of %d files survived removal", len(sys.owners))
 	}
 	if sys.Namespace().Lookup("/f") != nil {
 		t.Fatal("file survived removal")
@@ -243,5 +247,49 @@ func TestFsyncIsLocalFlushOnly(t *testing.T) {
 	env.Run()
 	if cost != device.NVMe970ProSpec("x").FlushLatency {
 		t.Fatalf("fsync cost %v, want one local device flush", cost)
+	}
+}
+
+// TestOpLevelStampsFlowTag: op-level data paths stamp their own mount's
+// tag, so a process that opened a second, differently tagged mount last
+// still attributes its writes to the mount it writes through.
+func TestOpLevelStampsFlowTag(t *testing.T) {
+	env, sys, mounts := build(t, RoundRobin, 4, 4)
+	a, b := mounts[0], mounts[1]
+	a.(fsapi.FlowTagger).SetFlowTag("a")
+	b.(fsapi.FlowTagger).SetFlowTag("b")
+	env.Go("x", func(p *sim.Proc) {
+		f := a.Open(p, "/fa", true)
+		b.Open(p, "/fb", true)
+		f.WriteAt(p, 0, 4<<20) // chunks 1-3 cross the interconnect
+	})
+	env.Run()
+	if got := sys.fab.TagBytes("a"); got < 3<<20 {
+		t.Fatalf("tag a carried %.0f bytes, want at least the 3 MiB remote share", got)
+	}
+	if got := sys.fab.TagBytes("b"); got != 0 {
+		t.Fatalf("tag b carried %.0f bytes of mount a's write", got)
+	}
+}
+
+// TestAbortStopsAtChunkBoundary: an abort fired during a multi-chunk write
+// lets the chunk in service finish and starts no further chunk.
+func TestAbortStopsAtChunkBoundary(t *testing.T) {
+	env, sys, mounts := build(t, LocalFirst, 4, 1)
+	ab := sim.NewAbort()
+	var ino *fsapi.Inode
+	env.Go("x", func(p *sim.Proc) {
+		f := mounts[0].Open(p, "/f", true)
+		ino = sys.Namespace().Lookup("/f")
+		env.Go("deadline", func(q *sim.Proc) {
+			q.Sleep(100 * time.Microsecond) // inside the first chunk
+			ab.Fire()
+		})
+		p.SetAbort(ab)
+		f.WriteAt(p, 0, 8<<20)
+	})
+	env.Run()
+	if n := len(sys.owners[ino.ID]); n != 1 {
+		t.Fatalf("aborted 8-chunk write placed %d chunks, want 1", n)
 	}
 }

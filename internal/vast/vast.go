@@ -310,7 +310,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 			ReadaheadBlocks: 8,
 		})
 	}
-	cl.core = fsbase.ClientCore{
+	cl.ClientCore = fsbase.ClientCore{
 		FS:      s.cfg.Name,
 		Node:    node,
 		NS:      s.ns,
@@ -336,7 +336,7 @@ type client struct {
 	// (failover or recovery re-balance): the next operation pays the NFS
 	// retransmit penalty before using the new path.
 	stale bool
-	core  fsbase.ClientCore
+	fsbase.ClientCore
 
 	// Resolved paths are cached per mount: op-level workloads resolve the
 	// path on every operation, and a stable pipe slice keeps the fabric's
@@ -349,26 +349,6 @@ type client struct {
 }
 
 type backend client
-
-// FSName implements fsapi.Client.
-func (c *client) FSName() string { return c.core.FSName() }
-
-// NodeName implements fsapi.Client.
-func (c *client) NodeName() string { return c.core.NodeName() }
-
-// Open implements fsapi.Client.
-func (c *client) Open(p *sim.Proc, path string, truncate bool) fsapi.File {
-	return c.core.Open(p, path, truncate)
-}
-
-// Remove implements fsapi.Client.
-func (c *client) Remove(p *sim.Proc, path string) { c.core.Remove(p, path) }
-
-// DropCaches implements fsapi.Client.
-func (c *client) DropCaches() { c.core.DropCaches() }
-
-// SetFlowTag implements fsapi.FlowTagger.
-func (c *client) SetFlowTag(tag string) { c.core.SetFlowTag(tag) }
 
 // maybeRetry charges the NFS retransmission penalty on the first operation
 // after the client's CNode assignment changed under it (failover or
@@ -447,7 +427,7 @@ func (c *client) rebuildPaths() {
 // flow from the client through gateway/rails, the CNode's reduction engine
 // and the fabric into the SCM staging pool.
 func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	c.maybeRetry(p)
 	if fsapi.Aborted(p) {
 		return // deadline fired during the retransmit penalty
@@ -468,7 +448,7 @@ func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, t
 // blocking-request ceiling (no readahead pipelining over NFS for random
 // offsets).
 func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	c.maybeRetry(p)
 	if fsapi.Aborted(p) {
 		return
