@@ -17,6 +17,7 @@ import (
 	"time"
 
 	storagesim "storagesim"
+	"storagesim/internal/cliflags"
 	"storagesim/internal/dlio"
 	"storagesim/internal/experiments"
 	"storagesim/internal/trace"
@@ -25,8 +26,7 @@ import (
 
 func main() {
 	model := flag.String("model", "resnet50", "resnet50, cosmoflow or custom")
-	fs := flag.String("fs", "vast", "vast or gpfs")
-	nodes := flag.Int("nodes", 1, "compute nodes")
+	tb := cliflags.AddFS("Lassen", 1)
 	traceOut := flag.String("trace", "", "write Chrome trace JSON to this file")
 	seed := flag.Uint64("seed", 7, "seed for sample shuffles")
 
@@ -39,6 +39,7 @@ func main() {
 	ckptEvery := flag.Int("ckpt-every", 0, "write a checkpoint every N batches (0 = off)")
 	ckptSize := flag.String("ckpt-size", "512MB", "checkpoint size per rank")
 	flag.Parse()
+	tb.Check()
 
 	var cfg storagesim.DLIOConfig
 	switch *model {
@@ -49,11 +50,11 @@ func main() {
 	case "custom":
 		sb, err := units.ParseBytes(*sampleSize)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		xb, err := units.ParseBytes(*xfer)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		cfg = storagesim.DLIOConfig{
 			Model: "custom", Samples: *samples, SampleBytes: int64(sb),
@@ -63,24 +64,24 @@ func main() {
 			Scaling: dlio.WeakScaling, Shuffle: true, Dir: "/dlio/custom",
 		}
 	default:
-		fail(fmt.Errorf("unknown model %q", *model))
+		cliflags.Fatal(fmt.Errorf("unknown model %q", *model))
 	}
 	cfg.Seed = *seed
 	if *ckptEvery > 0 {
 		cb, err := units.ParseBytes(*ckptSize)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		cfg.CheckpointEveryBatches = *ckptEvery
 		cfg.CheckpointBytes = int64(cb)
 	}
 
-	res, rec, err := experiments.RunDLIOOnce(experiments.FS(*fs), *nodes, cfg)
+	res, rec, err := experiments.RunDLIOOnce(experiments.FS(tb.FS), tb.Nodes, cfg)
 	if err != nil {
-		fail(err)
+		cliflags.Fatal(err)
 	}
 	a := res.Analysis
-	fmt.Printf("model=%s fs=%s nodes=%d ranks=%d\n", cfg.Model, *fs, *nodes, a.Ranks)
+	fmt.Printf("model=%s fs=%s nodes=%d ranks=%d\n", cfg.Model, tb.FS, tb.Nodes, a.Ranks)
 	fmt.Printf("  total I/O:        %10.3fs\n", a.TotalIO.Seconds())
 	fmt.Printf("  overlapping:      %10.3fs (%.1f%% hidden)\n", a.OverlapIO.Seconds(), 100*a.HiddenFraction())
 	fmt.Printf("  non-overlapping:  %10.3fs\n", a.NonOverlapIO.Seconds())
@@ -93,17 +94,12 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		defer f.Close()
 		if err := trace.WriteChromeTrace(f, rec.Spans()); err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		fmt.Printf("  trace: %s (%d spans)\n", *traceOut, rec.Len())
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "dliobench:", err)
-	os.Exit(1)
 }

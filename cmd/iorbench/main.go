@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	storagesim "storagesim"
+	"storagesim/internal/cliflags"
 	"storagesim/internal/experiments"
 	"storagesim/internal/faults"
 	"storagesim/internal/ior"
@@ -26,9 +27,7 @@ import (
 )
 
 func main() {
-	machine := flag.String("machine", "Lassen", "Lassen, Ruby, Quartz or Wombat")
-	fs := flag.String("fs", "vast", "vast, gpfs, lustre, nvme or unifyfs (Wombat)")
-	nodes := flag.Int("nodes", 1, "compute nodes")
+	tb := cliflags.AddTestbed("Lassen", 1)
 	ppn := flag.Int("ppn", 8, "processes per node")
 	workload := flag.String("workload", "scientific", "scientific (seq write), analytics (seq read) or ml (random read)")
 	block := flag.String("block", "1m", "block size per segment (IOR -b)")
@@ -41,52 +40,46 @@ func main() {
 	reps := flag.Int("reps", 1, "repetitions")
 	seed := flag.Uint64("seed", 42, "seed")
 	bottlenecks := flag.Int("bottlenecks", 0, "report the N busiest pipes after the run (what limited the number)")
-	faultsFile := flag.String("faults", "", "JSON fault schedule to inject during the run (see internal/faults)")
+	faultsFlag := cliflags.AddFaults()
 	chaosSpec := flag.String("chaos", "", "run a seeded chaos storm against -fs instead of a benchmark (seed=N, decimal or 0x hex)")
 	flag.Parse()
 
 	if *chaosSpec != "" {
-		if err := runChaos(experiments.FS(strings.ToLower(*fs)), *chaosSpec); err != nil {
-			fail(err)
+		// A storm runs on the file system's home machine, not -machine.
+		if err := runChaos(experiments.FS(strings.ToLower(tb.FS)), *chaosSpec); err != nil {
+			cliflags.Fatal(err)
 		}
 		return
 	}
-
-	var sched faults.Schedule
-	if *faultsFile != "" {
-		data, err := os.ReadFile(*faultsFile)
-		if err != nil {
-			fail(err)
-		}
-		sched, err = faults.ParseSchedule(data)
-		if err != nil {
-			fail(err)
-		}
+	tb.Check()
+	sched, err := faultsFlag.Schedule()
+	if err != nil {
+		cliflags.Fatal(err)
 	}
 
 	var cfg storagesim.IORConfig
 	if *app != "" {
 		w, err := workloads.ByName(*app, *ppn)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		if w.Kind != workloads.IORKind {
-			fail(fmt.Errorf("%q is a DLIO workload; use dliobench", *app))
+			cliflags.Fatal(fmt.Errorf("%q is a DLIO workload; use dliobench", *app))
 		}
 		cfg = w.IOR
 		fmt.Printf("# %s: %s\n", w.Name, w.Description)
 	} else {
 		wl, err := parseWorkload(*workload)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		blockBytes, err := units.ParseBytes(*block)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		xferBytes, err := units.ParseBytes(*xfer)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		cfg = storagesim.IORConfig{
 			Workload:     wl,
@@ -109,21 +102,19 @@ func main() {
 			applied []faults.Applied
 			err     error
 		)
-		if *faultsFile != "" {
+		if faultsFlag.Set() {
 			if *bottlenecks > 0 {
-				fail(fmt.Errorf("-faults and -bottlenecks cannot be combined"))
+				cliflags.Fatal(fmt.Errorf("-faults and -bottlenecks cannot be combined"))
 			}
-			res, applied, err = experiments.RunIORWithFaults(*machine, experiments.FS(strings.ToLower(*fs)),
-				*nodes, cfg, sched)
+			res, applied, err = experiments.RunIORWithFaults(tb.Machine, experiments.FS(tb.FS), tb.Nodes, cfg, sched)
 		} else {
-			res, top, err = experiments.RunIORWithBottlenecks(*machine, experiments.FS(strings.ToLower(*fs)),
-				*nodes, cfg, *bottlenecks)
+			res, top, err = experiments.RunIORWithBottlenecks(tb.Machine, experiments.FS(tb.FS), tb.Nodes, cfg, *bottlenecks)
 		}
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		fmt.Printf("rep=%d machine=%s fs=%s nodes=%d ppn=%d workload=%s fsync=%v shared=%v\n",
-			rep, *machine, *fs, *nodes, cfg.ProcsPerNode, cfg.Workload, cfg.Fsync, cfg.SharedFile)
+			rep, tb.Machine, tb.FS, tb.Nodes, cfg.ProcsPerNode, cfg.Workload, cfg.Fsync, cfg.SharedFile)
 		for _, a := range applied {
 			fmt.Printf("  fault: %v\n", a)
 		}
@@ -177,9 +168,4 @@ func parseWorkload(s string) (ior.Workload, error) {
 		return ior.ML, nil
 	}
 	return 0, fmt.Errorf("unknown workload %q", s)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "iorbench:", err)
-	os.Exit(1)
 }

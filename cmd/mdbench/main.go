@@ -11,90 +11,35 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strings"
 
+	"storagesim/internal/cliflags"
 	"storagesim/internal/cluster"
-	"storagesim/internal/fsapi"
 	"storagesim/internal/mdtest"
 	"storagesim/internal/sim"
 )
 
 func main() {
-	machine := flag.String("machine", "Lassen", "Lassen, Ruby, Quartz or Wombat")
-	fs := flag.String("fs", "vast", "vast, gpfs, lustre, nvme or unifyfs (Wombat)")
-	nodes := flag.Int("nodes", 1, "compute nodes")
+	tb := cliflags.AddTestbed("Lassen", 1)
 	ppn := flag.Int("ppn", 8, "processes per node")
 	files := flag.Int("files", 128, "files per rank")
 	flag.Parse()
+	tb.Check()
 
 	env := sim.NewEnv()
-	fab := sim.NewFabric(env)
-	spec, err := cluster.MachineByName(*machine)
+	dep, err := cluster.Build(env, sim.NewFabric(env), tb.Machine, tb.FS, tb.Nodes, nil)
 	if err != nil {
-		fail(err)
+		cliflags.Fatal(err)
 	}
-	cl, err := cluster.New(env, fab, spec, *nodes)
-	if err != nil {
-		fail(err)
-	}
-	mounts, err := mountAll(cl, strings.ToLower(*fs))
-	if err != nil {
-		fail(err)
-	}
-	res, err := mdtest.Run(env, mounts, mdtest.Config{
+	res, err := mdtest.Run(env, dep.Mounts, mdtest.Config{
 		FilesPerRank: *files,
 		ProcsPerNode: *ppn,
 		Dir:          "/mdbench",
 	})
 	if err != nil {
-		fail(err)
+		cliflags.Fatal(err)
 	}
-	fmt.Printf("machine=%s fs=%s nodes=%d ppn=%d files/rank=%d\n", *machine, *fs, *nodes, *ppn, *files)
+	fmt.Printf("machine=%s fs=%s nodes=%d ppn=%d files/rank=%d\n", tb.Machine, tb.FS, tb.Nodes, *ppn, *files)
 	fmt.Printf("  creates: %10.0f /s (%v)\n", res.CreatesPerSec, res.CreateTime)
 	fmt.Printf("  opens:   %10.0f /s (%v)\n", res.OpensPerSec, res.OpenTime)
 	fmt.Printf("  removes: %10.0f /s (%v)\n", res.RemovesPerSec, res.RemoveTime)
-}
-
-// mountAll wires the requested deployment onto the cluster.
-func mountAll(cl *cluster.Cluster, fs string) ([]fsapi.Client, error) {
-	var mount func(name string, i int) fsapi.Client
-	switch fs + "/" + cl.Spec.Name {
-	case "vast/Lassen":
-		sys := cluster.VASTOnLassen(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "vast/Ruby":
-		sys := cluster.VASTOnRuby(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "vast/Quartz":
-		sys := cluster.VASTOnQuartz(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "vast/Wombat":
-		sys := cluster.VASTOnWombat(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "gpfs/Lassen":
-		sys := cluster.GPFSOnLassen(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "lustre/Ruby", "lustre/Quartz":
-		sys := cluster.LustreOn(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "nvme/Wombat":
-		sys := cluster.NVMeOnWombat(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "unifyfs/Wombat":
-		sys := cluster.UnifyFSOnWombat(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	default:
-		return nil, fmt.Errorf("no deployment of %s on %s", fs, cl.Spec.Name)
-	}
-	var mounts []fsapi.Client
-	for i, n := range cl.Nodes() {
-		mounts = append(mounts, mount(n.Name, i))
-	}
-	return mounts, nil
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "mdbench:", err)
-	os.Exit(1)
 }

@@ -19,7 +19,7 @@ import (
 	"strings"
 
 	storagesim "storagesim"
-	"storagesim/internal/profiling"
+	"storagesim/internal/cliflags"
 )
 
 var (
@@ -32,19 +32,16 @@ func main() {
 	reps := flag.Int("reps", 1, "repetitions per data point (paper uses 10)")
 	quick := flag.Bool("quick", false, "smaller sweeps")
 	seed := flag.Uint64("seed", 0x5eed, "random seed for contention and shuffles")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	racks := flag.Int("racks", 0, "shard the traffic-driven figures over this many racks (0 = classic single-env path)")
-	domains := flag.Int("domains", 0, "executors advancing the racks in parallel (0 = GOMAXPROCS); results are identical for every value")
-	remote := flag.Float64("remote", 0.25, "cross-rack placement fraction when -racks > 1")
+	prof := cliflags.AddProfile()
+	racks := cliflags.AddRacks(0, "shard the traffic-driven figures over this many racks (0 = classic single-env path)")
 	flag.Parse()
 	_ = plots
 
-	defer profiling.Start(*cpuProfile, *memProfile)()
+	defer prof.Start()()
 
 	opts := storagesim.ExperimentOptions{
 		Reps: *reps, Quick: *quick, Seed: *seed,
-		Racks: *racks, Domains: *domains, RemoteFraction: *remote,
+		Racks: racks.Racks, Domains: racks.Domains, RemoteFraction: racks.Remote,
 	}
 	want := strings.ToLower(*fig)
 	ran := 0

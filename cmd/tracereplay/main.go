@@ -20,10 +20,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
+	"storagesim/internal/cliflags"
 	"storagesim/internal/experiments"
-	"storagesim/internal/profiling"
 	"storagesim/internal/sim"
 	"storagesim/internal/trace"
 	"storagesim/internal/traffic"
@@ -34,9 +33,7 @@ func main() {
 	traceFile := flag.String("trace", "", "recorded trace to ingest (.csv, .jsonl/.ndjson, .dxt, .json)")
 	format := flag.String("format", "auto", "trace encoding: auto, csv, jsonl, dxt or chrome")
 	tenant := flag.String("tenant", "", "tenant assigned to formats that record none (dxt, chrome)")
-	machine := flag.String("machine", "Wombat", "Lassen, Ruby, Quartz or Wombat")
-	fs := flag.String("fs", "vast", "vast, gpfs, lustre, nvme or unifyfs")
-	nodes := flag.Int("nodes", 2, "compute nodes")
+	tb := cliflags.AddTestbed("Wombat", 2)
 	ioSize := flag.String("io", "1m", "per-op transfer size used to re-issue data requests")
 	audit := flag.Bool("audit", false, "compare the replay against the trace's recorded metrics and report error bands")
 	tolLatency := flag.Float64("tol-latency", 0, "relative tolerance on p50/p95/p99 (0 = default 0.02)")
@@ -48,24 +45,22 @@ func main() {
 	seed := flag.Uint64("seed", 0x5eed, "seed for -record")
 	load := flag.Float64("load", 1, "offered-load multiplier for -record")
 	out := flag.String("o", "", "output file (-record: the JSONL stream; -audit: the report as JSON)")
-	racks := flag.Int("racks", 1, "replay across this many racks via the fitted spec (domain-sharded)")
-	domains := flag.Int("domains", 0, "executors advancing the racks in parallel (0 = GOMAXPROCS)")
-	remote := flag.Float64("remote", 0.25, "fraction of requests placed on another rack (racks > 1)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	racks := cliflags.AddRacks(1, "replay across this many racks via the fitted spec (domain-sharded)")
+	prof := cliflags.AddProfile()
 	flag.Parse()
-	defer profiling.Start(*cpuProfile, *memProfile)()
+	defer prof.Start()()
 
 	// A sharded run replays the fitted spec, not the recorded stream, and
 	// records nothing: both flags would be silently dropped.
-	if *racks > 1 && *record {
+	if racks.Racks > 1 && *record {
 		fail(fmt.Errorf("-record is not supported with -racks > 1"))
 	}
-	if *racks > 1 && *audit {
+	if racks.Racks > 1 && *audit {
 		fail(fmt.Errorf("-audit is not supported with -racks > 1"))
 	}
+	tb.Check()
 	if *record {
-		doRecord(*machine, *fs, *nodes, *duration, *seed, *load, *out)
+		doRecord(tb, *duration, *seed, *load, *out)
 		return
 	}
 	if *traceFile == "" {
@@ -111,18 +106,18 @@ func main() {
 		fail(fmt.Errorf("-io %q is under one byte", *ioSize))
 	}
 
-	if *racks > 1 {
-		doSharded(tr, *machine, *fs, *racks, *nodes, *domains, *remote, *seed)
+	if racks.Racks > 1 {
+		doSharded(tr, tb, racks, *seed)
 		return
 	}
 
 	if !*audit {
-		rep, err := experiments.ReplayTraceOn(*machine, experiments.FS(strings.ToLower(*fs)), *nodes, tr,
+		rep, err := experiments.ReplayTraceOn(tb.Machine, experiments.FS(tb.FS), tb.Nodes, tr,
 			traffic.TraceConfig{IOBytes: int64(io64)})
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("replayed on %s/%s, %d nodes: makespan %v\n", *fs, *machine, *nodes, rep.Duration)
+		fmt.Printf("replayed on %s/%s, %d nodes: makespan %v\n", tb.FS, tb.Machine, tb.Nodes, rep.Duration)
 		printReport(rep)
 		return
 	}
@@ -137,12 +132,12 @@ func main() {
 		}
 		opts.Tolerance.LatencyAbs = sim.Duration(d)
 	}
-	report, rep, err := experiments.FidelityAudit(*machine, experiments.FS(strings.ToLower(*fs)), *nodes, tr, opts)
+	report, rep, err := experiments.FidelityAudit(tb.Machine, experiments.FS(tb.FS), tb.Nodes, tr, opts)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Printf("replayed on %s/%s, %d nodes: makespan %v (recorded %v)\n",
-		*fs, *machine, *nodes, rep.Duration, tr.Duration())
+		tb.FS, tb.Machine, tb.Nodes, rep.Duration, tr.Duration())
 	printReport(rep)
 	fmt.Println()
 	if err := report.WriteText(os.Stdout); err != nil {
@@ -165,12 +160,12 @@ func main() {
 // doRecord runs the built-in tenant mix and writes its recorded request
 // stream as JSONL — a synthetic "production" recording for round-trip
 // audits and pinned fixtures.
-func doRecord(machine, fs string, nodes int, duration string, seed uint64, load float64, out string) {
+func doRecord(tb *cliflags.Testbed, duration string, seed uint64, load float64, out string) {
 	window, err := units.ParseDuration(duration)
 	if err != nil {
 		fail(err)
 	}
-	rep, events, err := experiments.RecordTraffic(machine, experiments.FS(strings.ToLower(fs)), nodes, traffic.Config{
+	rep, events, err := experiments.RecordTraffic(tb.Machine, experiments.FS(tb.FS), tb.Nodes, traffic.Config{
 		Spec:      experiments.SaturationTenants(),
 		Duration:  sim.Duration(window),
 		Seed:      seed,
@@ -196,25 +191,25 @@ func doRecord(machine, fs string, nodes int, duration string, seed uint64, load 
 		completed += tr.Completed
 	}
 	fmt.Fprintf(os.Stderr, "recorded %d completed requests over %v on %s/%s (%d nodes)\n",
-		completed, rep.Duration, fs, machine, nodes)
+		completed, rep.Duration, tb.FS, tb.Machine, tb.Nodes)
 }
 
 // doSharded replays the trace across racks through the fitted tenant spec:
 // timestamped replay is single-domain; the spec abstraction is what lets a
 // recorded stream ride the domain-parallel engine.
-func doSharded(tr *trace.Trace, machine, fs string, racks, nodes, domains int, remote float64, seed uint64) {
+func doSharded(tr *trace.Trace, tb *cliflags.Testbed, racks *cliflags.Racks, seed uint64) {
 	spec, err := traffic.SpecFromTrace(tr)
 	if err != nil {
 		fail(err)
 	}
 	cfg := traffic.Config{Spec: spec, Duration: tr.Duration(), Seed: seed}
-	srep, err := experiments.RunShardedTraffic(machine, experiments.FS(strings.ToLower(fs)),
-		racks, nodes, domains, traffic.ShardedConfig{Config: cfg, RemoteFraction: remote})
+	srep, err := experiments.RunShardedTraffic(tb.Machine, experiments.FS(tb.FS),
+		racks.Racks, tb.Nodes, racks.Domains, traffic.ShardedConfig{Config: cfg, RemoteFraction: racks.Remote})
 	if err != nil {
 		fail(err)
 	}
 	fmt.Printf("fitted spec replayed over %d racks × %d nodes on %s/%s, window %v\n",
-		racks, nodes, fs, machine, tr.Duration())
+		racks.Racks, tb.Nodes, tb.FS, tb.Machine, tr.Duration())
 	printReport(traffic.Report{Duration: srep.Duration, Tenants: srep.Tenants})
 }
 

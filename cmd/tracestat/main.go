@@ -18,8 +18,8 @@ import (
 	"fmt"
 	"os"
 
+	"storagesim/internal/cliflags"
 	"storagesim/internal/cluster"
-	"storagesim/internal/fsapi"
 	"storagesim/internal/replay"
 	"storagesim/internal/sim"
 	"storagesim/internal/trace"
@@ -27,22 +27,23 @@ import (
 )
 
 func main() {
-	project := flag.String("project", "", "replay the trace on this deployment (vast, gpfs)")
-	machine := flag.String("machine", "Lassen", "machine for -project")
-	nodes := flag.Int("nodes", 1, "nodes for -project")
+	target := cliflags.AddProjection()
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: tracestat [-project fs -machine M -nodes N] <trace.json>")
 		os.Exit(2)
 	}
+	if target.FS != "" {
+		target.Check()
+	}
 	f, err := os.Open(flag.Arg(0))
 	if err != nil {
-		fail(err)
+		cliflags.Fatal(err)
 	}
 	defer f.Close()
 	spans, err := trace.ReadChromeTrace(f)
 	if err != nil {
-		fail(err)
+		cliflags.Fatal(err)
 	}
 	a := trace.Analyze(spans)
 	fmt.Printf("spans: %d across %d ranks\n", len(spans), a.Ranks)
@@ -55,55 +56,20 @@ func main() {
 	fmt.Printf("  app view:        %12s (bytes / non-overlapping I/O)\n", units.BPS(a.AppThroughput()))
 	fmt.Printf("  system view:     %12s (bytes / total I/O)\n", units.BPS(a.SysThroughput()))
 
-	if *project != "" {
-		res, err := projectTrace(spans, *project, *machine, *nodes)
+	if target.FS != "" {
+		env := sim.NewEnv()
+		dep, err := cluster.Build(env, sim.NewFabric(env), target.Machine, target.FS, target.Nodes, nil)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
-		fmt.Printf("\nprojected onto %s on %s (%d nodes):\n", *project, *machine, *nodes)
+		res, err := replay.Run(env, dep.Mounts, spans, replay.Config{}, trace.NewRecorder())
+		if err != nil {
+			cliflags.Fatal(err)
+		}
+		fmt.Printf("\nprojected onto %s on %s (%d nodes):\n", target.FS, target.Machine, target.Nodes)
 		fmt.Printf("  runtime:         %12.3fs (original %.3fs, speedup %.2fx)\n",
 			res.Runtime.Seconds(), res.OriginalRuntime.Seconds(), res.Speedup)
 		fmt.Printf("  hidden I/O:      %12.1f%%\n", 100*res.Analysis.HiddenFraction())
 		fmt.Printf("  stalls:          %12.3fs\n", res.Analysis.NonOverlapIO.Seconds())
 	}
-}
-
-// projectTrace replays the spans on a fresh deployment.
-func projectTrace(spans []trace.Span, fs, machine string, nodes int) (replay.Result, error) {
-	env := sim.NewEnv()
-	fab := sim.NewFabric(env)
-	spec, err := cluster.MachineByName(machine)
-	if err != nil {
-		return replay.Result{}, err
-	}
-	cl, err := cluster.New(env, fab, spec, nodes)
-	if err != nil {
-		return replay.Result{}, err
-	}
-	var mounts []fsapi.Client
-	switch fs + "/" + machine {
-	case "vast/Lassen":
-		sys := cluster.VASTOnLassen(cl)
-		for _, n := range cl.Nodes() {
-			mounts = append(mounts, sys.Mount(n.Name, n.NIC))
-		}
-	case "gpfs/Lassen":
-		sys := cluster.GPFSOnLassen(cl)
-		for _, n := range cl.Nodes() {
-			mounts = append(mounts, sys.Mount(n.Name, n.NIC))
-		}
-	case "vast/Wombat":
-		sys := cluster.VASTOnWombat(cl)
-		for _, n := range cl.Nodes() {
-			mounts = append(mounts, sys.Mount(n.Name, n.NIC))
-		}
-	default:
-		return replay.Result{}, fmt.Errorf("no projection target %s on %s", fs, machine)
-	}
-	return replay.Run(env, mounts, spans, replay.Config{}, trace.NewRecorder())
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "tracestat:", err)
-	os.Exit(1)
 }

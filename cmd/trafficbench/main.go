@@ -16,38 +16,32 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strings"
 
+	"storagesim/internal/cliflags"
 	"storagesim/internal/experiments"
 	"storagesim/internal/faults"
-	"storagesim/internal/profiling"
 	"storagesim/internal/traffic"
 	"storagesim/internal/units"
 )
 
 func main() {
-	machine := flag.String("machine", "Wombat", "Lassen, Ruby, Quartz or Wombat")
-	fs := flag.String("fs", "vast", "vast, gpfs, lustre, nvme or unifyfs (Wombat)")
-	nodes := flag.Int("nodes", 4, "compute nodes")
+	tb := cliflags.AddTestbed("Wombat", 4)
 	specFile := flag.String("spec", "", "JSON tenant spec (default: the built-in 4-tenant 1M-client mix)")
 	duration := flag.String("duration", "2s", "open-loop window (Go duration or bare seconds)")
 	seed := flag.Uint64("seed", 0x5eed, "seed")
 	load := flag.Float64("load", 1, "offered-load multiplier applied to every tenant's arrival rate")
-	faultsFile := flag.String("faults", "", "JSON fault schedule to arm during the window (see internal/faults)")
+	faultsFlag := cliflags.AddFaults()
 	printSpec := flag.Bool("print-spec", false, "print the built-in tenant spec as JSON and exit")
-	racks := flag.Int("racks", 1, "split the cluster into this many racks (domain shards), -nodes per rack")
-	domains := flag.Int("domains", 0, "executors advancing the racks in parallel (0 = GOMAXPROCS); results are identical for every value")
-	remote := flag.Float64("remote", 0.25, "fraction of requests placed on another rack (racks > 1)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	racks := cliflags.AddRacks(1, "split the cluster into this many racks (domain shards), -nodes per rack")
+	prof := cliflags.AddProfile()
 	flag.Parse()
-	defer profiling.Start(*cpuProfile, *memProfile)()
+	defer prof.Start()()
 
 	spec := experiments.SaturationTenants()
 	if *printSpec {
 		out, err := spec.MarshalJSON()
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		fmt.Println(string(out))
 		return
@@ -55,44 +49,38 @@ func main() {
 	if *specFile != "" {
 		data, err := os.ReadFile(*specFile)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		spec, err = traffic.ParseSpec(data)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 	}
 
+	tb.Check()
 	window, err := units.ParseDuration(*duration)
 	if err != nil {
-		fail(err)
+		cliflags.Fatal(err)
 	}
-	var sched faults.Schedule
-	if *faultsFile != "" {
-		data, err := os.ReadFile(*faultsFile)
-		if err != nil {
-			fail(err)
-		}
-		sched, err = faults.ParseSchedule(data)
-		if err != nil {
-			fail(err)
-		}
+	sched, err := faultsFlag.Schedule()
+	if err != nil {
+		cliflags.Fatal(err)
 	}
 
 	cfg := traffic.Config{Spec: spec, Duration: window, Seed: *seed, LoadScale: *load}
 	var rep traffic.Report
 	var applied []faults.Applied
-	if *racks > 1 {
-		if *faultsFile != "" {
-			fail(fmt.Errorf("-faults is not supported with -racks > 1 (use the chaos gate's sharded storms)"))
+	if racks.Racks > 1 {
+		if faultsFlag.Set() {
+			cliflags.Fatal(fmt.Errorf("-faults is not supported with -racks > 1 (use the chaos gate's sharded storms)"))
 		}
-		srep, err := experiments.RunShardedTraffic(*machine, experiments.FS(strings.ToLower(*fs)),
-			*racks, *nodes, *domains, traffic.ShardedConfig{Config: cfg, RemoteFraction: *remote})
+		srep, err := experiments.RunShardedTraffic(tb.Machine, experiments.FS(tb.FS),
+			racks.Racks, tb.Nodes, racks.Domains, traffic.ShardedConfig{Config: cfg, RemoteFraction: racks.Remote})
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		fmt.Printf("machine=%s fs=%s racks=%d nodes/rack=%d domains=%d remote=%g window=%v load=%gx seed=%#x\n",
-			*machine, *fs, *racks, *nodes, *domains, *remote, window, *load, *seed)
+			tb.Machine, tb.FS, racks.Racks, tb.Nodes, racks.Domains, racks.Remote, window, *load, *seed)
 		for _, rr := range srep.Racks {
 			var offered, completed uint64
 			for _, tr := range rr.Tenants {
@@ -104,13 +92,12 @@ func main() {
 		rep = traffic.Report{Duration: srep.Duration, Tenants: srep.Tenants}
 	} else {
 		var err error
-		rep, applied, err = experiments.RunTrafficWithFaults(*machine, experiments.FS(strings.ToLower(*fs)),
-			*nodes, cfg, sched)
+		rep, applied, err = experiments.RunTrafficWithFaults(tb.Machine, experiments.FS(tb.FS), tb.Nodes, cfg, sched)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		fmt.Printf("machine=%s fs=%s nodes=%d window=%v load=%gx seed=%#x\n",
-			*machine, *fs, *nodes, window, *load, *seed)
+			tb.Machine, tb.FS, tb.Nodes, window, *load, *seed)
 	}
 	for _, a := range applied {
 		fmt.Printf("  fault: %v\n", a)
@@ -129,9 +116,4 @@ func main() {
 			tr.Name, tr.Offered, tr.Shed, tr.Completed, tr.InFlightEnd,
 			units.BPS(tr.GoodputBps(rep.Duration)), tr.P50, tr.P99, slo, attain)
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "trafficbench:", err)
-	os.Exit(1)
 }

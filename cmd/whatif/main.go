@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 
+	"storagesim/internal/cliflags"
 	"storagesim/internal/configsearch"
 	"storagesim/internal/experiments"
 	"storagesim/internal/traffic"
@@ -35,27 +36,27 @@ func main() {
 	if *spaceFile != "" {
 		data, err := os.ReadFile(*spaceFile)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		space, err = configsearch.ParseSpace(data)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 	}
 	var spec traffic.Spec
 	if *specFile != "" {
 		data, err := os.ReadFile(*specFile)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		spec, err = traffic.ParseSpec(data)
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 	}
 	objs, err := configsearch.ParseObjectives(*objectives)
 	if err != nil {
-		fail(err)
+		cliflags.Fatal(err)
 	}
 
 	res, err := experiments.ConfigSearch(experiments.WhatIfConfig{
@@ -66,7 +67,7 @@ func main() {
 		Calibrate:  true,
 	})
 	if err != nil {
-		fail(err)
+		cliflags.Fatal(err)
 	}
 
 	s := res.Search
@@ -79,15 +80,10 @@ func main() {
 	if *outFile != "" {
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 		if err := os.WriteFile(*outFile, append(data, '\n'), 0o644); err != nil {
-			fail(err)
+			cliflags.Fatal(err)
 		}
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "whatif:", err)
-	os.Exit(1)
 }

@@ -5,6 +5,7 @@ package storagesim_test
 // rendering regressions that unit tests of the libraries cannot.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -39,13 +40,14 @@ func run(t *testing.T, bin string, args ...string) string {
 }
 
 // runFail runs a command that must reject its input: a non-zero exit with
-// the expected message, never a panic.
-func runFail(t *testing.T, bin string, want string, args ...string) {
+// the expected message, never a panic. It returns the exit code.
+func runFail(t *testing.T, bin string, want string, args ...string) int {
 	t.Helper()
 	b, err := exec.Command(bin, args...).CombinedOutput()
 	out := string(b)
-	if err == nil {
-		t.Fatalf("%s %v succeeded, want a rejection:\n%s", bin, args, out)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("%s %v: %v, want a rejection:\n%s", bin, args, err, out)
 	}
 	if strings.Contains(out, "panic") || strings.Contains(out, "goroutine ") {
 		t.Fatalf("%s %v panicked:\n%s", bin, args, out)
@@ -53,6 +55,7 @@ func runFail(t *testing.T, bin string, want string, args ...string) {
 	if !strings.Contains(out, want) {
 		t.Fatalf("%s %v: output lacks %q:\n%s", bin, args, want, out)
 	}
+	return exit.ExitCode()
 }
 
 func TestCommandsSmoke(t *testing.T) {
@@ -84,6 +87,13 @@ func TestCommandsSmoke(t *testing.T) {
 		t.Fatalf("iorbench -app output:\n%s", out)
 	}
 
+	// -fs is case-insensitive in every command, dliobench included.
+	out = run(t, filepath.Join(dir, "dliobench"),
+		"-model", "custom", "-samples", "16", "-sample-size", "1m", "-fs", "VAST")
+	if !strings.Contains(out, "fs=vast") {
+		t.Fatalf("dliobench -fs VAST output:\n%s", out)
+	}
+
 	traceFile := filepath.Join(dir, "run.json")
 	out = run(t, filepath.Join(dir, "dliobench"),
 		"-model", "custom", "-samples", "64", "-sample-size", "1m",
@@ -106,6 +116,13 @@ func TestCommandsSmoke(t *testing.T) {
 		t.Fatalf("tracestat -project output:\n%s", out)
 	}
 
+	// -project serves every row of the deployment table, not only Lassen's.
+	out = run(t, filepath.Join(dir, "tracestat"),
+		"-project", "lustre", "-machine", "Ruby", "-nodes", "1", traceFile)
+	if !strings.Contains(out, "projected onto lustre on Ruby") {
+		t.Fatalf("tracestat -project lustre output:\n%s", out)
+	}
+
 	out = run(t, filepath.Join(dir, "mdbench"),
 		"-machine", "Ruby", "-fs", "lustre", "-nodes", "1", "-ppn", "4", "-files", "32")
 	if !strings.Contains(out, "creates:") || !strings.Contains(out, "removes:") {
@@ -123,6 +140,27 @@ func TestCommandsSmoke(t *testing.T) {
 	runFail(t, filepath.Join(dir, "trafficbench"), "remote fraction", "-racks", "2", "-remote", "1.5")
 	runFail(t, filepath.Join(dir, "trafficbench"), "positive duration", "-duration", "0")
 	runFail(t, filepath.Join(dir, "tracereplay"), "-record is not supported", "-record", "-racks", "2")
+
+	// Every command that takes a deployment checks it against the one
+	// deployment table before simulating: a pair outside the table exits 1
+	// with the table's message.
+	for _, args := range [][]string{
+		{"iorbench", "-machine", "Lassen", "-fs", "nvme"},
+		{"mdbench", "-machine", "Lassen", "-fs", "nvme"},
+		{"trafficbench", "-machine", "Lassen", "-fs", "nvme"},
+		{"tracereplay", "-machine", "Lassen", "-fs", "nvme"},
+		{"dliobench", "-fs", "nvme"}, // runs on Lassen
+		{"tracestat", "-project", "nvme", "-machine", "Lassen", traceFile},
+	} {
+		if code := runFail(t, filepath.Join(dir, args[0]), "cluster: no deployment of nvme on Lassen", args[1:]...); code != 1 {
+			t.Errorf("%v exited %d, want 1", args, code)
+		}
+	}
+
+	// Node-local NVMe cannot serve a per-operation read of a file another
+	// node wrote (IOR task reordering): rejected before the run.
+	runFail(t, filepath.Join(dir, "iorbench"), "nvme is node-local",
+		"-machine", "Wombat", "-fs", "nvme", "-nodes", "2", "-fsync", "-workload", "ml", "-segments", "4")
 
 	// A fault schedule that takes every server of a deployment down is
 	// refused at the last healthy one: an error and exit 1, never a panic.

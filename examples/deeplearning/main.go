@@ -16,14 +16,18 @@ import (
 func main() {
 	const nodes = 4
 
-	run := func(label string, cfg storagesim.DLIOConfig, mountFS func(*storagesim.Cluster) []storagesim.Client) {
+	run := func(label string, cfg storagesim.DLIOConfig, fs string) {
 		s := storagesim.New()
 		cl, err := s.Cluster("Lassen", nodes)
 		if err != nil {
 			log.Fatal(err)
 		}
+		dep, err := storagesim.Deploy(cl, fs, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
 		rec := storagesim.NewTraceRecorder()
-		res, err := storagesim.RunDLIO(s.Env, mountFS(cl), cfg, rec)
+		res, err := storagesim.RunDLIO(s.Env, dep.Mounts, cfg, rec)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -33,22 +37,15 @@ func main() {
 			a.NonOverlapIO.Seconds(), res.AppSamplesPerSec, res.SysSamplesPerSec)
 	}
 
-	vast := func(cl *storagesim.Cluster) []storagesim.Client {
-		return storagesim.MountAll(storagesim.VASTOnLassen(cl), cl)
-	}
-	gpfs := func(cl *storagesim.Cluster) []storagesim.Client {
-		return storagesim.MountAll(storagesim.GPFSOnLassen(cl), cl)
-	}
-
 	fmt.Printf("ResNet-50, %d nodes (weak scaling, 1024x150KB JPEGs per node, 1 epoch):\n", nodes)
-	run("  vast (nfs/tcp)", storagesim.ResNet50Config(), vast)
-	run("  gpfs", storagesim.ResNet50Config(), gpfs)
+	run("  vast (nfs/tcp)", storagesim.ResNet50Config(), "vast")
+	run("  gpfs", storagesim.ResNet50Config(), "gpfs")
 	fmt.Println("  -> VAST reads slower, but the 8-thread pipeline hides almost all of")
 	fmt.Println("     it: the application barely notices (the paper's Figure 5a).")
 
 	fmt.Printf("\nCosmoflow, %d nodes (strong scaling, 32MB TFRecords in 256KB reads, 4 epochs):\n", nodes)
-	run("  vast (nfs/tcp)", storagesim.CosmoflowConfig(), vast)
-	run("  gpfs", storagesim.CosmoflowConfig(), gpfs)
+	run("  vast (nfs/tcp)", storagesim.CosmoflowConfig(), "vast")
+	run("  gpfs", storagesim.CosmoflowConfig(), "gpfs")
 	fmt.Println("  -> Four I/O threads cannot hide 32 MB samples behind the compute on")
 	fmt.Println("     the throttled VAST deployment: non-overlapping I/O explodes and")
 	fmt.Println("     GPFS wins clearly (the paper's Figures 4b and 6).")

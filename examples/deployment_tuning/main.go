@@ -47,7 +47,7 @@ func main() {
 }
 
 // vastPerNode runs write and read IOR at two nodes and returns per-node
-// GB/s. mutate customizes the Wombat config (nil for stock deployments).
+// GB/s. mutate customizes the VAST config (nil for stock deployments).
 func vastPerNode(machine string, mutate func(*storagesim.VASTConfig)) (write, read float64) {
 	const nodes = 2
 	run := func(wl storagesim.IORConfig) storagesim.IORResult {
@@ -56,23 +56,13 @@ func vastPerNode(machine string, mutate func(*storagesim.VASTConfig)) (write, re
 		if err != nil {
 			log.Fatal(err)
 		}
-		var mounts []storagesim.Client
-		if machine == "Wombat" {
-			cfg := storagesim.WombatVASTConfig(cl)
-			if mutate != nil {
-				mutate(&cfg)
-			}
-			sys, err := newVAST(s, cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			mounts = storagesim.MountAll(sys, cl)
-		} else {
-			mounts = storagesim.MountAll(storagesim.VASTOnLassen(cl), cl)
+		dep, err := storagesim.Deploy(cl, "vast", mutate)
+		if err != nil {
+			log.Fatal(err)
 		}
 		wl.BlockSize, wl.TransferSize, wl.Segments = 1<<20, 1<<20, 3000
 		wl.ProcsPerNode, wl.ReorderTasks, wl.Dir = 44, true, "/tuning"
-		res, err := storagesim.RunIOR(s.Env, mounts, wl)
+		res, err := storagesim.RunIOR(s.Env, dep.Mounts, wl)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -83,7 +73,7 @@ func vastPerNode(machine string, mutate func(*storagesim.VASTConfig)) (write, re
 	return w.WriteBW / 1e9 / nodes, r.ReadBW / 1e9 / nodes
 }
 
-// vastAggregate8 runs the ML workload at 8 Wombat nodes with a mutated
+// vastAggregate8 runs the ML workload at 8 nodes of machine with a mutated
 // config and returns aggregate GB/s.
 func vastAggregate8(machine string, mutate func(*storagesim.VASTConfig)) float64 {
 	s := storagesim.New()
@@ -91,13 +81,11 @@ func vastAggregate8(machine string, mutate func(*storagesim.VASTConfig)) float64
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := storagesim.WombatVASTConfig(cl)
-	mutate(&cfg)
-	sys, err := newVAST(s, cfg)
+	dep, err := storagesim.Deploy(cl, "vast", mutate)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := storagesim.RunIOR(s.Env, storagesim.MountAll(sys, cl), storagesim.IORConfig{
+	res, err := storagesim.RunIOR(s.Env, dep.Mounts, storagesim.IORConfig{
 		Workload: storagesim.ML, BlockSize: 1 << 20, TransferSize: 1 << 20,
 		Segments: 3000, ProcsPerNode: 48, ReorderTasks: true, Dir: "/tuning",
 	})
@@ -105,9 +93,4 @@ func vastAggregate8(machine string, mutate func(*storagesim.VASTConfig)) float64
 		log.Fatal(err)
 	}
 	return res.ReadBW / 1e9
-}
-
-// newVAST instantiates a custom VAST config on the simulation.
-func newVAST(s *storagesim.Simulation, cfg storagesim.VASTConfig) (*storagesim.VASTSystem, error) {
-	return storagesim.NewVAST(s.Env, s.Fabric, cfg)
 }

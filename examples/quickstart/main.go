@@ -14,7 +14,8 @@ import (
 func main() {
 	const nodes = 4
 
-	for _, fs := range []string{"VAST (NFS/TCP gateway)", "GPFS (IB SAN)"} {
+	label := map[string]string{"vast": "VAST (NFS/TCP gateway)", "gpfs": "GPFS (IB SAN)"}
+	for _, fs := range []string{"vast", "gpfs"} {
 		// Every run gets its own simulation: virtual time, bandwidth fabric
 		// and cluster are all rebuilt, so runs are independent and
 		// reproducible.
@@ -24,14 +25,12 @@ func main() {
 			log.Fatal(err)
 		}
 
-		var mounts []storagesim.Client
-		if fs[0] == 'V' {
-			mounts = storagesim.MountAll(storagesim.VASTOnLassen(cl), cl)
-		} else {
-			mounts = storagesim.MountAll(storagesim.GPFSOnLassen(cl), cl)
+		dep, err := storagesim.Deploy(cl, fs, nil)
+		if err != nil {
+			log.Fatal(err)
 		}
 
-		res, err := storagesim.RunIOR(s.Env, mounts, storagesim.IORConfig{
+		res, err := storagesim.RunIOR(s.Env, dep.Mounts, storagesim.IORConfig{
 			Workload:     storagesim.Analytics, // sequential write + read
 			BlockSize:    1 << 20,              // IOR -b 1m
 			TransferSize: 1 << 20,              // IOR -t 1m
@@ -44,7 +43,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-24s %d nodes: write %6.2f GB/s, read %6.2f GB/s\n",
-			fs, nodes, res.WriteBW/1e9, res.ReadBW/1e9)
+			label[fs], nodes, res.WriteBW/1e9, res.ReadBW/1e9)
 	}
 
 	fmt.Println("\nThe TCP gateway caps each VAST client at one connection's worth")

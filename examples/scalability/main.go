@@ -14,30 +14,14 @@ import (
 
 func main() {
 	fmt.Println("Figure 2a — Lassen, 44 ppn, 1 MiB transfers, 129 GB per node")
-	sweep("Lassen", []int{1, 4, 16, 64, 128}, 44,
-		map[string]func(*storagesim.Cluster) []storagesim.Client{
-			"vast": func(cl *storagesim.Cluster) []storagesim.Client {
-				return storagesim.MountAll(storagesim.VASTOnLassen(cl), cl)
-			},
-			"gpfs": func(cl *storagesim.Cluster) []storagesim.Client {
-				return storagesim.MountAll(storagesim.GPFSOnLassen(cl), cl)
-			},
-		})
+	sweep("Lassen", []int{1, 4, 16, 64, 128}, 44, "vast", "gpfs")
 
 	fmt.Println("\nFigure 2b — Wombat, 48 ppn")
-	sweep("Wombat", []int{1, 2, 4, 8}, 48,
-		map[string]func(*storagesim.Cluster) []storagesim.Client{
-			"vast": func(cl *storagesim.Cluster) []storagesim.Client {
-				return storagesim.MountAll(storagesim.VASTOnWombat(cl), cl)
-			},
-			"nvme": func(cl *storagesim.Cluster) []storagesim.Client {
-				return storagesim.MountAll(storagesim.NVMeOnWombat(cl), cl)
-			},
-		})
+	sweep("Wombat", []int{1, 2, 4, 8}, 48, "vast", "nvme")
 }
 
-// sweep runs the three workloads over the node counts for each deployment.
-func sweep(machine string, nodes []int, ppn int, deploys map[string]func(*storagesim.Cluster) []storagesim.Client) {
+// sweep runs the three workloads over the node counts for each file system.
+func sweep(machine string, nodes []int, ppn int, fss ...string) {
 	workloads := []struct {
 		name string
 		wl   storagesim.IORConfig
@@ -48,11 +32,15 @@ func sweep(machine string, nodes []int, ppn int, deploys map[string]func(*storag
 	}
 	for _, w := range workloads {
 		fmt.Printf("  %s\n", w.name)
-		for _, fsName := range orderedKeys(deploys) {
+		for _, fsName := range fss {
 			fmt.Printf("    %-5s", fsName)
 			for _, n := range nodes {
 				s := storagesim.New()
 				cl, err := s.Cluster(machine, n)
+				if err != nil {
+					log.Fatal(err)
+				}
+				dep, err := storagesim.Deploy(cl, fsName, nil)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -63,7 +51,7 @@ func sweep(machine string, nodes []int, ppn int, deploys map[string]func(*storag
 				cfg.ProcsPerNode = ppn
 				cfg.ReorderTasks = true
 				cfg.Dir = "/scal"
-				res, err := storagesim.RunIOR(s.Env, deploys[fsName](cl), cfg)
+				res, err := storagesim.RunIOR(s.Env, dep.Mounts, cfg)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -76,15 +64,4 @@ func sweep(machine string, nodes []int, ppn int, deploys map[string]func(*storag
 			fmt.Println()
 		}
 	}
-}
-
-// orderedKeys returns map keys in a fixed order (vast first).
-func orderedKeys(m map[string]func(*storagesim.Cluster) []storagesim.Client) []string {
-	keys := []string{}
-	for _, k := range []string{"vast", "gpfs", "nvme", "lustre"} {
-		if _, ok := m[k]; ok {
-			keys = append(keys, k)
-		}
-	}
-	return keys
 }

@@ -64,16 +64,11 @@ func project(spans []storagesim.TraceSpan, fs, machine string, nodes int) storag
 	if err != nil {
 		log.Fatal(err)
 	}
-	var mounts []storagesim.Client
-	switch fs + "/" + machine {
-	case "vast/Lassen":
-		mounts = storagesim.MountAll(storagesim.VASTOnLassen(cl), cl)
-	case "gpfs/Lassen":
-		mounts = storagesim.MountAll(storagesim.GPFSOnLassen(cl), cl)
-	case "vast/Wombat":
-		mounts = storagesim.MountAll(storagesim.VASTOnWombat(cl), cl)
+	dep, err := storagesim.Deploy(cl, fs, nil)
+	if err != nil {
+		log.Fatal(err)
 	}
-	res, err := storagesim.ReplayTrace(s.Env, mounts, spans, storagesim.ReplayConfig{}, storagesim.NewTraceRecorder())
+	res, err := storagesim.ReplayTrace(s.Env, dep.Mounts, spans, storagesim.ReplayConfig{}, storagesim.NewTraceRecorder())
 	if err != nil {
 		log.Fatal(err)
 	}

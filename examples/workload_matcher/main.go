@@ -58,12 +58,7 @@ func main() {
 // runIOR executes one preset on the named file system and returns the
 // workload's headline bandwidth in GB/s.
 func runIOR(fs string, cfg storagesim.IORConfig) float64 {
-	s := storagesim.New()
-	cl, err := s.Cluster("Lassen", nodes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mounts := mount(s, cl, fs)
+	s, mounts := lassen(fs)
 	res, err := storagesim.RunIOR(s.Env, mounts, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -76,12 +71,8 @@ func runIOR(fs string, cfg storagesim.IORConfig) float64 {
 
 // runMD executes the metadata benchmark.
 func runMD(fs string) storagesim.MDTestResult {
-	s := storagesim.New()
-	cl, err := s.Cluster("Lassen", nodes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := storagesim.RunMDTest(s.Env, mount(s, cl, fs), storagesim.MDTestConfig{
+	s, mounts := lassen(fs)
+	res, err := storagesim.RunMDTest(s.Env, mounts, storagesim.MDTestConfig{
 		FilesPerRank: 64, ProcsPerNode: ppn, Dir: "/match",
 	})
 	if err != nil {
@@ -90,10 +81,16 @@ func runMD(fs string) storagesim.MDTestResult {
 	return res
 }
 
-// mount attaches every node to the requested deployment.
-func mount(s *storagesim.Simulation, cl *storagesim.Cluster, fs string) []storagesim.Client {
-	if fs == "vast" {
-		return storagesim.MountAll(storagesim.VASTOnLassen(cl), cl)
+// lassen builds a fresh Lassen simulation with fs mounted on every node.
+func lassen(fs string) (*storagesim.Simulation, []storagesim.Client) {
+	s := storagesim.New()
+	cl, err := s.Cluster("Lassen", nodes)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return storagesim.MountAll(storagesim.GPFSOnLassen(cl), cl)
+	dep, err := storagesim.Deploy(cl, fs, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return s, dep.Mounts
 }

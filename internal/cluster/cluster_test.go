@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"storagesim/internal/sim"
+	"storagesim/internal/vast"
 )
 
 func TestMachinesMatchTableI(t *testing.T) {
@@ -90,23 +91,55 @@ func TestTableIRendering(t *testing.T) {
 }
 
 func TestDeploymentsConstruct(t *testing.T) {
+	for _, d := range Deployments() {
+		env := sim.NewEnv()
+		spec, err := MachineByName(d.Machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := Deploy(MustNew(env, sim.NewFabric(env), spec, 2), d.FS, nil)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", d.FS, d.Machine, err)
+		}
+		if tb.System == nil || len(tb.Mounts) != 2 {
+			t.Fatalf("%s on %s: system %v, %d mounts", d.FS, d.Machine, tb.System, len(tb.Mounts))
+		}
+		if (tb.Derate == nil) != (d.NodeLocal || d.FS == "unifyfs") {
+			t.Errorf("%s on %s: derate set = %v", d.FS, d.Machine, tb.Derate != nil)
+		}
+		if home, err := Home(d.FS); err != nil || home.FS != d.FS {
+			t.Errorf("%s has no home row: %v", d.FS, err)
+		}
+	}
+}
+
+func TestDeployRejects(t *testing.T) {
 	env := sim.NewEnv()
-	fab := sim.NewFabric(env)
-	lassen := MustNew(env, fab, LassenSpec(), 2)
-	if VASTOnLassen(lassen) == nil || GPFSOnLassen(lassen) == nil {
-		t.Fatal("Lassen deployments nil")
+	lassen := MustNew(env, sim.NewFabric(env), LassenSpec(), 1)
+	if _, err := Deploy(lassen, "nvme", nil); err == nil || err.Error() != "cluster: no deployment of nvme on Lassen" {
+		t.Fatalf("nvme on Lassen: %v", err)
 	}
-	ruby := MustNew(env, fab, RubySpec(), 2)
-	if VASTOnRuby(ruby) == nil || LustreOn(ruby) == nil {
-		t.Fatal("Ruby deployments nil")
+	if _, err := Deploy(lassen, "gpfs", func(*vast.Config) {}); err == nil {
+		t.Fatal("a VAST mutator on GPFS was accepted")
 	}
-	quartz := MustNew(env, fab, QuartzSpec(), 2)
-	if VASTOnQuartz(quartz) == nil || LustreOn(quartz) == nil {
-		t.Fatal("Quartz deployments nil")
-	}
-	wombat := MustNew(env, fab, WombatSpec(), 2)
-	if VASTOnWombat(wombat) == nil || NVMeOnWombat(wombat) == nil {
-		t.Fatal("Wombat deployments nil")
+}
+
+// TestMutatorOnEveryVASTRow: the VAST config mutator reaches the system on
+// every machine that mounts VAST, not only Wombat.
+func TestMutatorOnEveryVASTRow(t *testing.T) {
+	for _, d := range Deployments() {
+		if d.FS != "vast" {
+			continue
+		}
+		env := sim.NewEnv()
+		spec, _ := MachineByName(d.Machine)
+		tb, err := Deploy(MustNew(env, sim.NewFabric(env), spec, 1), "vast", func(c *vast.Config) { c.CNodes = 3 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := tb.System.(*vast.System).HealthyCNodes(); n != 3 {
+			t.Errorf("vast on %s: %d CNodes, want the mutated 3", d.Machine, n)
+		}
 	}
 }
 

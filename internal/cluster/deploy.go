@@ -1,71 +1,60 @@
 package cluster
 
 import (
-	"time"
-
 	"fmt"
 	"strings"
+	"time"
 
+	"storagesim/internal/gpfs"
+	"storagesim/internal/lustre"
 	"storagesim/internal/netsim"
 	"storagesim/internal/nvmelocal"
 	"storagesim/internal/unifyfs"
 	"storagesim/internal/vast"
-
-	"storagesim/internal/gpfs"
-	"storagesim/internal/lustre"
 )
 
-// Deployment constructors: each wires one of the paper's storage systems
-// onto an instantiated cluster exactly as Section IV-B describes.
+// Deployment constructors and configs: each wires one of the paper's
+// storage systems onto an instantiated cluster exactly as Section IV-B
+// describes. The table in table.go is the one list of which machine mounts
+// which system.
 
 // VASTOnLassen builds the LC VAST instance reached through Lassen's single
 // gateway node (2×100 Gb Ethernet, one NFS/TCP connection per client).
 func VASTOnLassen(c *Cluster) *vast.System {
-	gw := netsim.NewLinkBank(c.Fab, "lassen-gw", lassenGateways, lassenGatewayLinkBW, gatewayLatency)
-	return vast.MustNew(c.Env, c.Fab, vastLCConfig("vast-lassen", &netsim.TCPTransport{
-		Gateways:    gw,
-		PerConnBW:   nfsTCPPerConnBWLassen,
-		Connections: 1,
-		RPC:         nfsTCPRPC,
-	}))
+	return vast.MustNew(c.Env, c.Fab, lassenVASTConfig(c))
+}
+
+func lassenVASTConfig(c *Cluster) vast.Config {
+	return vastLCConfig(c, "lassen", lassenGateways, lassenGatewayLinkBW, nfsTCPPerConnBWLassen)
 }
 
 // VASTOnRuby builds the same LC instance reached through Ruby's eight
 // 1×40 Gb gateway nodes.
 func VASTOnRuby(c *Cluster) *vast.System {
-	return vast.MustNew(c.Env, c.Fab, RubyVASTConfig(c))
+	return vast.MustNew(c.Env, c.Fab, rubyVASTConfig(c))
 }
 
-// RubyVASTConfig returns the LC VAST deployment as mounted from Ruby —
-// exported so the what-if surrogate can read the deployment's real
-// parameters instead of restating them.
-func RubyVASTConfig(c *Cluster) vast.Config {
-	gw := netsim.NewLinkBank(c.Fab, "ruby-gw", rubyGateways, rubyGatewayLinkBW, gatewayLatency)
-	return vastLCConfig("vast-ruby", &netsim.TCPTransport{
-		Gateways:    gw,
-		PerConnBW:   nfsTCPPerConnBWRuby,
-		Connections: 1,
-		RPC:         nfsTCPRPC,
-	})
+func rubyVASTConfig(c *Cluster) vast.Config {
+	return vastLCConfig(c, "ruby", rubyGateways, rubyGatewayLinkBW, nfsTCPPerConnBWRuby)
 }
 
 // VASTOnQuartz builds the LC instance reached through Quartz's 32 gateway
 // nodes with tiny 2×1 Gb links — the paper's weakest deployment.
 func VASTOnQuartz(c *Cluster) *vast.System {
-	gw := netsim.NewLinkBank(c.Fab, "quartz-gw", quartzGateways, quartzGatewayLinkBW, gatewayLatency)
-	return vast.MustNew(c.Env, c.Fab, vastLCConfig("vast-quartz", &netsim.TCPTransport{
-		Gateways:    gw,
-		PerConnBW:   nfsTCPPerConnBWQuartz,
-		Connections: 1,
-		RPC:         nfsTCPRPC,
-	}))
+	return vast.MustNew(c.Env, c.Fab, quartzVASTConfig(c))
+}
+
+func quartzVASTConfig(c *Cluster) vast.Config {
+	return vastLCConfig(c, "quartz", quartzGateways, quartzGatewayLinkBW, nfsTCPPerConnBWQuartz)
 }
 
 // vastLCConfig is the shared LC VAST hardware (ten DNodes, 16 CNodes, five
-// DBoxes of 6 SCM + 22 QLC SSDs) behind the given transport.
-func vastLCConfig(name string, tr netsim.Transport) vast.Config {
+// DBoxes of 6 SCM + 22 QLC SSDs) as machine reaches it: through its bank of
+// gateway links, one NFS/TCP connection per client.
+func vastLCConfig(c *Cluster, machine string, gateways int, linkBW, perConnBW float64) vast.Config {
+	gw := netsim.NewLinkBank(c.Fab, machine+"-gw", gateways, linkBW, gatewayLatency)
 	return vast.Config{
-		Name:             name,
+		Name:             "vast-" + machine,
 		CNodes:           vastLCCNodes,
 		DBoxes:           vastLCDBoxes,
 		DNodesPerDBox:    2,
@@ -76,7 +65,7 @@ func vastLCConfig(name string, tr netsim.Transport) vast.Config {
 		FabricBWPerDBox:  vastFabricPerDBoxLC,
 		FabricLatency:    5 * time.Microsecond,
 		SCMReplicas:      scmReplicas,
-		Transport:        tr,
+		Transport:        &netsim.TCPTransport{Gateways: gw, PerConnBW: perConnBW, Connections: 1, RPC: nfsTCPRPC},
 		ClientCacheBytes: nfsClientCacheBytes,
 		CacheBlockBytes:  cacheBlockBytes,
 		DNodeCacheBytes:  dnodeCacheBytes,
@@ -128,11 +117,10 @@ func WombatVASTConfig(c *Cluster) vast.Config {
 
 // GPFSOnLassen builds Lassen's 16-NSD GPFS instance on the IB SAN.
 func GPFSOnLassen(c *Cluster) *gpfs.System {
-	return gpfs.MustNew(c.Env, c.Fab, GPFSLassenConfig(c))
+	return gpfs.MustNew(c.Env, c.Fab, gpfsLassenConfig(c))
 }
 
-// GPFSLassenConfig returns the Lassen GPFS deployment parameters.
-func GPFSLassenConfig(c *Cluster) gpfs.Config {
+func gpfsLassenConfig(c *Cluster) gpfs.Config {
 	return gpfs.Config{
 		Name:             "gpfs-lassen",
 		NSDServers:       gpfsNSDServers,
@@ -151,11 +139,10 @@ func GPFSLassenConfig(c *Cluster) gpfs.Config {
 // LustreOn builds the LC Lustre instance (16 MDS, 36 OSS) as mounted on
 // Ruby or Quartz.
 func LustreOn(c *Cluster) *lustre.System {
-	return lustre.MustNew(c.Env, c.Fab, LustreConfig(c))
+	return lustre.MustNew(c.Env, c.Fab, lustreConfig(c))
 }
 
-// LustreConfig returns the LC Lustre deployment parameters.
-func LustreConfig(c *Cluster) lustre.Config {
+func lustreConfig(c *Cluster) lustre.Config {
 	return lustre.Config{
 		Name:             "lustre-" + c.Spec.Name,
 		MDSCount:         lustreMDSCount,
@@ -172,11 +159,10 @@ func LustreConfig(c *Cluster) lustre.Config {
 // NVMeOnWombat builds the node-local NVMe baseline with the Wombat
 // interconnect for round-robin remote reads.
 func NVMeOnWombat(c *Cluster) *nvmelocal.System {
-	return nvmelocal.MustNew(c.Env, c.Fab, NVMeWombatConfig(c))
+	return nvmelocal.MustNew(c.Env, c.Fab, nvmeWombatConfig(c))
 }
 
-// NVMeWombatConfig returns the node-local NVMe deployment parameters.
-func NVMeWombatConfig(c *Cluster) nvmelocal.Config {
+func nvmeWombatConfig(c *Cluster) nvmelocal.Config {
 	ic := netsim.NewLinkBank(c.Fab, "wombat-ic", 1, 100e9, 2*time.Microsecond)
 	dirty := int64(float64(int64(c.Spec.RAMGB)<<30) * nvmeDirtyFrac)
 	return nvmelocal.Config{

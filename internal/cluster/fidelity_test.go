@@ -5,14 +5,8 @@ import (
 	"testing"
 
 	"storagesim/internal/fsapi"
-	"storagesim/internal/netsim"
 	"storagesim/internal/sim"
 )
-
-// mounter is what every deployment constructor returns.
-type mounter interface {
-	Mount(node string, nic *netsim.Iface) fsapi.Client
-}
 
 // TestFlowAndOpLevelAgree pins the claim in docs/MODEL.md §6 on every
 // backend as deployed: the two simulation fidelities produce comparable
@@ -36,22 +30,24 @@ func TestFlowAndOpLevelAgree(t *testing.T) {
 	cases := []struct {
 		name    string
 		machine MachineSpec
-		deploy  func(c *Cluster) mounter
 		known   float64 // pinned out-of-band ratio; 0 = must agree
 	}{
-		{"vast", LassenSpec(), func(c *Cluster) mounter { return VASTOnLassen(c) }, 0},
-		{"gpfs", LassenSpec(), func(c *Cluster) mounter { return GPFSOnLassen(c) }, 0},
-		{"lustre", RubySpec(), func(c *Cluster) mounter { return LustreOn(c) }, 0},
-		{"nvme", WombatSpec(), func(c *Cluster) mounter { return NVMeOnWombat(c) }, 0.269},
-		{"unifyfs", WombatSpec(), func(c *Cluster) mounter { return UnifyFSOnWombat(c) }, 0.619},
+		{"vast", LassenSpec(), 0},
+		{"gpfs", LassenSpec(), 0},
+		{"lustre", RubySpec(), 0},
+		{"nvme", WombatSpec(), 0.269},
+		{"unifyfs", WombatSpec(), 0.619},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bw := func(opLevel bool) float64 {
 				env := sim.NewEnv()
 				fab := sim.NewFabric(env)
-				c := MustNew(env, fab, tc.machine, 1)
-				cl := tc.deploy(c).Mount(c.Node(0).Name, c.Node(0).NIC)
+				tb, err := Deploy(MustNew(env, fab, tc.machine, 1), tc.name, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cl := tb.Mounts[0]
 				var end sim.Time
 				env.Go("w", func(p *sim.Proc) {
 					if opLevel {

@@ -5,11 +5,13 @@ import (
 	"math"
 	"time"
 
+	"storagesim/internal/cluster"
 	"storagesim/internal/faults"
 	"storagesim/internal/faults/invariants"
 	"storagesim/internal/ior"
 	"storagesim/internal/repair"
 	"storagesim/internal/repair/chaos"
+	"storagesim/internal/vast"
 )
 
 // Chaos fuzzing gate: randomized fault storms against every backend with
@@ -47,17 +49,11 @@ func (r ChaosReport) Digest() string {
 		r.Losses, r.Rebuilds, len(r.Violations))
 }
 
-// chaosMachine is each deployment's canonical testbed machine.
+// chaosMachine is the machine of fs's home deployment, the testbed its
+// storms run on.
 func chaosMachine(fs FS) (string, error) {
-	switch fs {
-	case VAST, NVMe, UnifyFS:
-		return "Wombat", nil
-	case GPFS:
-		return "Lassen", nil
-	case Lustre:
-		return "Ruby", nil
-	}
-	return "", fmt.Errorf("experiments: no chaos machine for %q", fs)
+	home, err := cluster.Home(string(fs))
+	return home.Machine, err
 }
 
 // chaosRig is one backend under a seeded storm: the repair manager the
@@ -72,12 +68,12 @@ type chaosRig struct {
 // counts come from the backend itself — arms it on a repair.Manager, and
 // attaches the invariant checker with the rebuild-completes-or-reports-loss
 // final check. Call before the foreground runs.
-func armChaos(tb *testbed, fs FS, seed uint64) (chaosRig, error) {
+func armChaos(tb *cluster.Testbed, fs FS, seed uint64) (chaosRig, error) {
 	storm := chaos.Storm(seed, chaos.Profile{
 		Target:          string(fs),
-		Servers:         tb.target.FaultServers(),
-		Units:           tb.target.FaultUnits(),
-		UnitsAreServers: tb.target.RepairScheme().ServersHoldData,
+		Servers:         tb.System.FaultServers(),
+		Units:           tb.System.FaultUnits(),
+		UnitsAreServers: tb.System.RepairScheme().ServersHoldData,
 		Horizon:         30 * time.Millisecond,
 		Events:          12,
 	})
@@ -85,7 +81,7 @@ func armChaos(tb *testbed, fs FS, seed uint64) (chaosRig, error) {
 	if err != nil {
 		return chaosRig{}, err
 	}
-	checker := invariants.Attach(tb.env, tb.fab, 250*time.Microsecond)
+	checker := invariants.Attach(tb.Env, tb.Fab, 250*time.Microsecond)
 	checker.Final("rebuild-completes-or-reports-loss", mgr.CheckComplete)
 	return chaosRig{mgr: mgr, inj: inj, checker: checker}, nil
 }
@@ -112,7 +108,7 @@ func (r chaosRig) outcome() (StormOutcome, error) {
 	}, nil
 }
 
-// RunChaosStorm generates the seeded storm for fs's canonical deployment,
+// RunChaosStorm generates the seeded storm for fs's home deployment,
 // wraps the backend in a repair.Manager, attaches the invariant checker
 // and runs an op-level IOR foreground through it.
 func RunChaosStorm(fs FS, seed uint64, opts Options) (ChaosReport, error) {
@@ -139,13 +135,13 @@ func RunChaosStorm(fs FS, seed uint64, opts Options) (ChaosReport, error) {
 		Seed:         opts.Seed + seed,
 		Dir:          "/chaos",
 	}
-	if sys := tb.vast; sys != nil {
+	if sys, ok := tb.System.(*vast.System); ok {
 		written := int64(2*cfg.ProcsPerNode) * cfg.BlockSize * int64(cfg.Segments)
 		rig.checker.Final("byte-conservation", invariants.ConserveBytes(
 			func() int64 { return written },
 			func() int64 { return sys.StagedBytes() + sys.MigratedBytes() }))
 	}
-	res, err := ior.Run(tb.env, tb.mounts, cfg)
+	res, err := ior.Run(tb.Env, tb.Mounts, cfg)
 	if err != nil {
 		return ChaosReport{}, err
 	}
@@ -157,5 +153,12 @@ func RunChaosStorm(fs FS, seed uint64, opts Options) (ChaosReport, error) {
 		WriteBW: res.WriteBW, StormOutcome: out}, nil
 }
 
-// ChaosBackends lists every deployment the gate covers.
-func ChaosBackends() []FS { return []FS{VAST, GPFS, Lustre, NVMe, UnifyFS} }
+// ChaosBackends lists every file system the gate covers: all of the
+// deployment table's.
+func ChaosBackends() []FS {
+	var out []FS
+	for _, fs := range cluster.FileSystems() {
+		out = append(out, FS(fs))
+	}
+	return out
+}

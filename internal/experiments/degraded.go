@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"storagesim/internal/cluster"
 	"storagesim/internal/faults"
 	"storagesim/internal/ior"
 	"storagesim/internal/stats"
@@ -21,15 +22,15 @@ import (
 // cmd/iorbench's -faults flag. A schedule event the backend refuses
 // (failing its last healthy server) is returned as the error.
 func RunIORWithFaults(machine string, fs FS, nodes int, cfg ior.Config, sched faults.Schedule) (ior.Result, []faults.Applied, error) {
-	tb, err := buildTestbed(machine, fs, nodes, nil)
+	tb, err := iorTestbed(machine, fs, nodes, cfg)
 	if err != nil {
 		return ior.Result{}, nil, err
 	}
-	inj, err := injectFaults(tb, string(fs), tb.target, sched)
+	inj, err := injectFaults(tb, string(fs), tb.System, sched)
 	if err != nil {
 		return ior.Result{}, nil, err
 	}
-	res, err := ior.Run(tb.env, tb.mounts, cfg)
+	res, err := ior.Run(tb.Env, tb.Mounts, cfg)
 	if err == nil {
 		err = inj.Err()
 	}
@@ -42,8 +43,8 @@ func RunIORWithFaults(machine string, fs FS, nodes int, cfg ior.Config, sched fa
 // injectFaults registers target under name with a fresh injector on tb's
 // env and arms sched. A fail the target refuses surfaces after the run as
 // the injector's Err.
-func injectFaults(tb *testbed, name string, target faults.Target, sched faults.Schedule) (*faults.Injector, error) {
-	inj := faults.NewInjector(tb.env)
+func injectFaults(tb *cluster.Testbed, name string, target faults.Target, sched faults.Schedule) (*faults.Injector, error) {
+	inj := faults.NewInjector(tb.Env)
 	inj.Register(name, target)
 	if err := inj.Apply(sched); err != nil {
 		return nil, err

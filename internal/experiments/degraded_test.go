@@ -85,3 +85,25 @@ func TestDegradedRunsAreReproducible(t *testing.T) {
 		t.Fatalf("sweep table missing expected series:\n%s", first)
 	}
 }
+
+// TestNodeLocalPeerReadRejected: node-local NVMe cannot serve a
+// per-operation read of a file another node wrote, so the IOR entry points
+// reject reordered reads across nodes with an error instead of letting
+// ior.Run panic; one node, or no reordering, still runs.
+func TestNodeLocalPeerReadRejected(t *testing.T) {
+	cfg := degradedIORConfig(4)
+	cfg.Workload, cfg.ReorderTasks = ior.ML, true
+	if _, err := RunIOROnce("Wombat", NVMe, 2, cfg); err == nil || !strings.Contains(err.Error(), "node-local") {
+		t.Errorf("RunIOROnce: %v, want the node-local rejection", err)
+	}
+	if _, _, err := RunIORWithFaults("Wombat", NVMe, 2, cfg, faults.Schedule{}); err == nil || !strings.Contains(err.Error(), "node-local") {
+		t.Errorf("RunIORWithFaults: %v, want the node-local rejection", err)
+	}
+	if _, err := RunIOROnce("Wombat", NVMe, 1, cfg); err != nil {
+		t.Errorf("one node: %v", err)
+	}
+	cfg.ReorderTasks = false
+	if _, err := RunIOROnce("Wombat", NVMe, 2, cfg); err != nil {
+		t.Errorf("no reordering: %v", err)
+	}
+}

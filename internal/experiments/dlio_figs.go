@@ -8,18 +8,20 @@ import (
 	"storagesim/internal/trace"
 )
 
-// dlioPoint runs one DLIO configuration on Lassen and returns the result.
-func dlioPoint(fs FS, nodes int, cfg dlio.Config, derate float64, seed uint64) (dlio.Result, error) {
+// dlioPoint runs one DLIO configuration on Lassen, with the server side
+// derated to derate of its capacity, and returns the result and its trace.
+func dlioPoint(fs FS, nodes int, cfg dlio.Config, derate float64, seed uint64) (dlio.Result, *trace.Recorder, error) {
 	tb, err := buildTestbed("Lassen", fs, nodes, nil)
 	if err != nil {
-		return dlio.Result{}, err
+		return dlio.Result{}, nil, err
 	}
-	if derate < 1 {
-		tb.derate(derate)
+	if derate < 1 && tb.Derate != nil {
+		tb.Derate(derate)
 	}
 	cfg.Seed = seed
 	rec := trace.NewRecorder()
-	return dlio.Run(tb.env, tb.mounts, cfg, rec)
+	res, err := dlio.Run(tb.Env, tb.Mounts, cfg, rec)
+	return res, rec, err
 }
 
 // dlioNodes returns the node sweep for a model.
@@ -42,16 +44,14 @@ func dlioSweep(cfg dlio.Config, opts Options, collect func(fs FS, nodes int, rep
 	opts = opts.withDefaults()
 	for _, fs := range []FS{VAST, GPFS} {
 		rng := stats.NewRNG(opts.Seed ^ hashString(cfg.Model+string(fs)))
-		spread := dedicatedSpread
-		if fs == GPFS {
-			spread = sharedSpread
-		}
+		spread := contentionSpread("Lassen", fs)
 		for _, n := range dlioNodes(cfg.Model, opts.Quick) {
 			fs, n := fs, n
 			reps, err := runReps(opts.Reps,
 				func(rep int) float64 { return derateFactor(rng, rep, spread) },
 				func(rep int, f float64) (dlio.Result, error) {
-					return dlioPoint(fs, n, cfg, f, opts.Seed+uint64(rep))
+					res, _, err := dlioPoint(fs, n, cfg, f, opts.Seed+uint64(rep))
+					return res, err
 				})
 			if err != nil {
 				return err

@@ -23,11 +23,7 @@ func AblationSharedFile(opts Options) (Table, error) {
 	}
 	for _, fs := range []FS{VAST, GPFS} {
 		run := func(shared bool) (float64, error) {
-			tb, err := buildTestbed("Lassen", fs, nodes, nil)
-			if err != nil {
-				return 0, err
-			}
-			res, err := ior.Run(tb.env, tb.mounts, ior.Config{
+			res, err := RunIOROnce("Lassen", fs, nodes, ior.Config{
 				Workload:     ior.Scientific,
 				BlockSize:    1 << 20,
 				TransferSize: 1 << 20,
@@ -89,10 +85,7 @@ func Consistency(opts Options) (Table, error) {
 	}
 	for _, fs := range []FS{VAST, GPFS} {
 		rng := stats.NewRNG(opts.Seed ^ hashString("consistency"+string(fs)))
-		spread := dedicatedSpread
-		if fs == GPFS {
-			spread = sharedSpread
-		}
+		spread := contentionSpread("Lassen", fs)
 		fs := fs
 		vals, err := runReps(reps,
 			func(rep int) float64 { return derateFactor(rng, rep, spread) },

@@ -47,13 +47,10 @@ func failoverPoint(failures int, opts Options) (bw float64, healthy int, err err
 	if err != nil {
 		return 0, 0, err
 	}
-	sys := vastSystemOf(tb)
-	if sys == nil {
-		return 0, 0, fmt.Errorf("experiments: failover study needs a VAST testbed")
-	}
+	sys := tb.System.(*vast.System)
 	var refused error
 	if failures > 0 {
-		tb.env.Go("chaos", func(p *sim.Proc) {
+		tb.Env.Go("chaos", func(p *sim.Proc) {
 			p.Sleep(10 * time.Millisecond)
 			for i := 0; i < failures && refused == nil; i++ {
 				refused = sys.FailCNode(i)
@@ -64,7 +61,7 @@ func failoverPoint(failures int, opts Options) (bw float64, healthy int, err err
 	if opts.Quick {
 		segments = 48
 	}
-	res, err := ior.Run(tb.env, tb.mounts, ior.Config{
+	res, err := ior.Run(tb.Env, tb.Mounts, ior.Config{
 		Workload:     ior.Scientific,
 		BlockSize:    1 << 20,
 		TransferSize: 1 << 20,
@@ -81,9 +78,4 @@ func failoverPoint(failures int, opts Options) (bw float64, healthy int, err err
 		return 0, 0, err
 	}
 	return res.WriteBW / 1e9, sys.HealthyCNodes(), nil
-}
-
-// vastSystemOf digs the VAST system out of a testbed built for it.
-func vastSystemOf(tb *testbed) *vast.System {
-	return tb.vast
 }

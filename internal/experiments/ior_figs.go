@@ -41,35 +41,45 @@ func RunIOROnce(machine string, fs FS, nodes int, cfg ior.Config) (ior.Result, e
 // returns the topN busiest pipes of the run — the simulator's direct
 // answer to "what limited this number?".
 func RunIORWithBottlenecks(machine string, fs FS, nodes int, cfg ior.Config, topN int) (ior.Result, []sim.PipeUtil, error) {
-	tb, err := buildTestbed(machine, fs, nodes, nil)
+	tb, err := iorTestbed(machine, fs, nodes, cfg)
 	if err != nil {
 		return ior.Result{}, nil, err
 	}
 	if topN > 0 {
-		tb.fab.EnableAccounting()
+		tb.Fab.EnableAccounting()
 	}
-	res, err := ior.Run(tb.env, tb.mounts, cfg)
+	res, err := ior.Run(tb.Env, tb.Mounts, cfg)
 	if err != nil {
 		return ior.Result{}, nil, err
 	}
 	var top []sim.PipeUtil
 	if topN > 0 {
-		top = tb.fab.TopUtilized(topN)
+		top = tb.Fab.TopUtilized(topN)
 	}
 	return res, top, nil
+}
+
+// iorTestbed builds the testbed an IOR entry point runs cfg on. It rejects
+// a per-operation read phase with reordered tasks on a node-local file
+// system across nodes: each rank would open a file another node wrote,
+// which its own node cannot see.
+func iorTestbed(machine string, fs FS, nodes int, cfg ior.Config) (*cluster.Testbed, error) {
+	tb, err := buildTestbed(machine, fs, nodes, nil)
+	if err != nil {
+		return nil, err
+	}
+	if tb.NodeLocal && nodes > 1 && cfg.PerOp() && cfg.ReorderTasks && cfg.Workload != ior.Scientific {
+		return nil, fmt.Errorf("experiments: %s is node-local: a per-operation %s read phase with reordered tasks reads files other nodes wrote (run on one node or without task reordering)",
+			fs, cfg.Workload)
+	}
+	return tb, nil
 }
 
 // RunDLIOOnce builds the Lassen testbed for fs and runs one DLIO
 // configuration, returning the result and the recorded trace — the entry
 // point for cmd/dliobench.
 func RunDLIOOnce(fs FS, nodes int, cfg dlio.Config) (dlio.Result, *trace.Recorder, error) {
-	tb, err := buildTestbed("Lassen", fs, nodes, nil)
-	if err != nil {
-		return dlio.Result{}, nil, err
-	}
-	rec := trace.NewRecorder()
-	res, err := dlio.Run(tb.env, tb.mounts, cfg, rec)
-	return res, rec, err
+	return dlioPoint(fs, nodes, cfg, 1, cfg.Seed)
 }
 
 // iorPoint runs one IOR configuration once and returns the bandwidth of
@@ -79,10 +89,10 @@ func iorPoint(machine string, fs FS, nodes, ppn int, wl ior.Workload, segments i
 	if err != nil {
 		return 0, err
 	}
-	if derate < 1 {
-		tb.derate(derate)
+	if derate < 1 && tb.Derate != nil {
+		tb.Derate(derate)
 	}
-	res, err := ior.Run(tb.env, tb.mounts, ior.Config{
+	res, err := ior.Run(tb.Env, tb.Mounts, ior.Config{
 		Workload:     wl,
 		BlockSize:    1 << 20,
 		TransferSize: 1 << 20,
@@ -108,14 +118,11 @@ func iorPoint(machine string, fs FS, nodes, ppn int, wl ior.Workload, segments i
 func iorSeries(name, machine string, fs FS, xs []int, point func(x int, derate float64, seed uint64) (float64, error), opts Options) (stats.Series, error) {
 	s := stats.Series{Name: name}
 	rng := stats.NewRNG(opts.Seed ^ hashString(name))
-	tbSpread := dedicatedSpread
-	if fs == GPFS || fs == Lustre {
-		tbSpread = sharedSpread
-	}
+	spread := contentionSpread(machine, fs)
 	for _, x := range xs {
 		x := x
 		vals, err := runReps(opts.Reps,
-			func(rep int) float64 { return derateFactor(rng, rep, tbSpread) },
+			func(rep int) float64 { return derateFactor(rng, rep, spread) },
 			func(rep int, f float64) (float64, error) {
 				return point(x, f, opts.Seed+uint64(rep))
 			})

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"storagesim/internal/cluster"
 	"storagesim/internal/faults"
 	"storagesim/internal/ior"
 	"storagesim/internal/repair"
@@ -26,7 +27,7 @@ func RunIORWithRepair(machine string, fs FS, nodes int, cfg ior.Config, sched fa
 	if err != nil {
 		return ior.Result{}, nil, err
 	}
-	res, err := ior.Run(tb.env, tb.mounts, cfg)
+	res, err := ior.Run(tb.Env, tb.Mounts, cfg)
 	if err != nil {
 		return ior.Result{}, nil, err
 	}
@@ -35,7 +36,7 @@ func RunIORWithRepair(machine string, fs FS, nodes int, cfg ior.Config, sched fa
 
 // buildRepairTestbed wires testbed + manager + injector without running a
 // workload, for callers that need to attach samplers or checkers first.
-func buildRepairTestbed(machine string, fs FS, nodes int, sched faults.Schedule, qos repair.QoS) (*testbed, *repair.Manager, error) {
+func buildRepairTestbed(machine string, fs FS, nodes int, sched faults.Schedule, qos repair.QoS) (*cluster.Testbed, *repair.Manager, error) {
 	tb, err := buildTestbed(machine, fs, nodes, nil)
 	if err != nil {
 		return nil, nil, err
@@ -49,8 +50,8 @@ func buildRepairTestbed(machine string, fs FS, nodes int, sched faults.Schedule,
 
 // armRepair wraps tb's backend in a repair.Manager with the given rebuild
 // QoS and arms sched on the manager, registered under the fs name.
-func armRepair(tb *testbed, fs FS, sched faults.Schedule, qos repair.QoS) (*repair.Manager, *faults.Injector, error) {
-	mgr := repair.NewManager(tb.env, tb.fab, tb.target, qos)
+func armRepair(tb *cluster.Testbed, fs FS, sched faults.Schedule, qos repair.QoS) (*repair.Manager, *faults.Injector, error) {
+	mgr := repair.NewManager(tb.Env, tb.Fab, tb.System, qos)
 	inj, err := injectFaults(tb, string(fs), mgr, sched)
 	return mgr, inj, err
 }
@@ -172,7 +173,7 @@ func sampleRebuildRun(cfg ior.Config, sched faults.Schedule, qos repair.QoS, int
 			deltas[k] += float64(bytes)
 		}
 	}
-	if _, err := ior.Run(tb.env, tb.mounts, cfg); err != nil {
+	if _, err := ior.Run(tb.Env, tb.Mounts, cfg); err != nil {
 		return nil, err
 	}
 	return deltas, nil

@@ -154,11 +154,11 @@ func TestRebuildSteadyStateMatchesClean(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tb.env.Run()
+			tb.Env.Run()
 			if err := mgr.CheckComplete(); err != nil {
 				t.Fatalf("rebuild incomplete before probe: %v", err)
 			}
-			probeStart := tb.env.Now()
+			probeStart := tb.Env.Now()
 
 			// Reference testbed: never failed, idled to the same virtual time
 			// so periodic background machinery is in the same phase when the
@@ -167,19 +167,19 @@ func TestRebuildSteadyStateMatchesClean(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tbClean.env.After(sim.Duration(probeStart-tbClean.env.Now()), func() {})
-			tbClean.env.Run()
+			tbClean.Env.After(sim.Duration(probeStart-tbClean.Env.Now()), func() {})
+			tbClean.Env.Run()
 
 			// Capacity state first: every pipe restored to bit-exact nominal.
-			if err := invariants.DiffStates(invariants.Snapshot(tbClean.fab), invariants.Snapshot(tb.fab)); err != nil {
+			if err := invariants.DiffStates(invariants.Snapshot(tbClean.Fab), invariants.Snapshot(tb.Fab)); err != nil {
 				t.Errorf("healed fabric differs from clean fabric: %v", err)
 			}
 
-			cleanProbe, err := ior.Run(tbClean.env, tbClean.mounts, probe)
+			cleanProbe, err := ior.Run(tbClean.Env, tbClean.Mounts, probe)
 			if err != nil {
 				t.Fatal(err)
 			}
-			healedProbe, err := ior.Run(tb.env, tb.mounts, probe)
+			healedProbe, err := ior.Run(tb.Env, tb.Mounts, probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +247,7 @@ func TestBeyondToleranceReportsLoss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tol := tbProbe.target.RepairScheme().Tolerance
+			tol := tbProbe.System.RepairScheme().Tolerance
 			// tol+1 simultaneous failures mid-run: the rebuilds started for
 			// the first tol units are nowhere near done, so the last failure
 			// exceeds the concurrent-loss budget.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"storagesim/internal/fsapi"
 	"storagesim/internal/netsim"
 	"storagesim/internal/resilience"
 	"storagesim/internal/traffic"
@@ -105,10 +104,7 @@ func RunResilienceChaosStorm(fs FS, seed uint64, opts Options) (ResilienceChaosR
 	if err != nil {
 		return ResilienceChaosReport{}, err
 	}
-	mount := func(tenant string, node int) fsapi.Client {
-		return tb.mount(tb.cl.Node(node).Name+"/"+tenant, node)
-	}
-	trep := traffic.Run(tb.env, tb.fab, 2, mount, traffic.Config{
+	trep := traffic.Run(tb.Env, tb.Fab, 2, tb.TenantMount, traffic.Config{
 		Spec:     resilienceChaosTenants(),
 		Duration: 50 * time.Millisecond,
 		Seed:     opts.Seed + seed,

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"storagesim/internal/faults"
-	"storagesim/internal/fsapi"
 	"storagesim/internal/stats"
 	"storagesim/internal/traffic"
 )
@@ -33,14 +32,11 @@ func RunTrafficWithFaults(machine string, fs FS, nodes int, cfg traffic.Config, 
 	if err != nil {
 		return traffic.Report{}, nil, err
 	}
-	inj, err := injectFaults(tb, string(fs), tb.target, sched)
+	inj, err := injectFaults(tb, string(fs), tb.System, sched)
 	if err != nil {
 		return traffic.Report{}, nil, err
 	}
-	mount := func(tenant string, node int) fsapi.Client {
-		return tb.mount(tb.cl.Node(node).Name+"/"+tenant, node)
-	}
-	rep := traffic.Run(tb.env, tb.fab, nodes, mount, cfg)
+	rep := traffic.Run(tb.Env, tb.Fab, nodes, tb.TenantMount, cfg)
 	if err := inj.Err(); err != nil {
 		return traffic.Report{}, nil, err
 	}

@@ -5,7 +5,7 @@ import (
 	"math"
 	"time"
 
-	"storagesim/internal/fsapi"
+	"storagesim/internal/cluster"
 	"storagesim/internal/sim"
 	"storagesim/internal/stats"
 	"storagesim/internal/traffic"
@@ -27,7 +27,7 @@ const interRackLatency = 5 * time.Microsecond
 
 // shardedRack couples a rack's testbed with its shard.
 type shardedRack struct {
-	tb    *testbed
+	tb    *cluster.Testbed
 	shard *sim.Shard
 }
 
@@ -48,7 +48,7 @@ func buildShardedTestbeds(machine string, fs FS, racks, nodesPerRack, domains in
 		env := sim.NewEnv()
 		fab := sim.NewFabric(env)
 		shard := g.AddShard(fmt.Sprintf("rack%d/%s", r, fs), env)
-		tb, err := buildTestbedOn(env, fab, machine, fs, nodesPerRack, nil)
+		tb, err := cluster.Build(env, fab, machine, string(fs), nodesPerRack, nil)
 		if err != nil {
 			g.Shutdown()
 			return nil, nil, nil, err
@@ -58,9 +58,7 @@ func buildShardedTestbeds(machine string, fs FS, racks, nodesPerRack, domains in
 			Shard: shard,
 			Fab:   fab,
 			Nodes: nodesPerRack,
-			Mount: func(tenant string, node int) fsapi.Client {
-				return tb.mount(tb.cl.Node(node).Name+"/"+tenant, node)
-			},
+			Mount: tb.TenantMount,
 		}
 	}
 	if racks > 1 {

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"storagesim/internal/dlio"
 	"storagesim/internal/ior"
-	"storagesim/internal/trace"
 	"storagesim/internal/workloads"
 )
 
@@ -97,11 +95,7 @@ func suitabilityDLIO(w workloads.Workload, nodes int, opts Options) ([]string, e
 	}
 	cfg.Seed = opts.Seed
 	run := func(fs FS) (float64, error) {
-		tb, err := buildTestbed("Lassen", fs, nodes, nil)
-		if err != nil {
-			return 0, err
-		}
-		res, err := dlio.Run(tb.env, tb.mounts, cfg, trace.NewRecorder())
+		res, _, err := RunDLIOOnce(fs, nodes, cfg)
 		if err != nil {
 			return 0, err
 		}

@@ -9,7 +9,6 @@ import (
 	"storagesim/internal/configsearch"
 	"storagesim/internal/device"
 	"storagesim/internal/faults"
-	"storagesim/internal/fsapi"
 	"storagesim/internal/gpfs"
 	"storagesim/internal/lustre"
 	"storagesim/internal/netsim"
@@ -255,32 +254,21 @@ func newWhatIfExplorer(wc WhatIfConfig) (*whatIfExplorer, error) {
 		model:   surrogate.NewModel(),
 	}
 	for _, b := range wc.Space.Backends {
-		switch b {
-		case "vast":
-			var v vast.Config
-			switch wc.Space.Machine {
-			case "Wombat":
-				v = cluster.WombatVASTConfig(cl)
-			case "Ruby":
-				v = cluster.RubyVASTConfig(cl)
-			default:
-				return nil, fmt.Errorf("whatif: no vast surrogate for machine %s (Wombat and Ruby modeled)", wc.Space.Machine)
-			}
-			e.vcfg = &v
-		case "nvme":
-			n := cluster.NVMeWombatConfig(cl)
-			e.ncfg = &n
-		case "lustre":
-			l := cluster.LustreConfig(cl)
-			e.lcfg = &l
-		case "gpfs":
-			g := cluster.GPFSLassenConfig(cl)
-			e.gcfg = &g
-		case "unifyfs":
-			u := cluster.UnifyFSWombatConfig(cl)
-			e.ucfg = &u
-		default:
-			return nil, fmt.Errorf("whatif: no surrogate for backend %s", b)
+		d, err := cluster.Lookup(wc.Space.Machine, b)
+		if err != nil {
+			return nil, err
+		}
+		switch cfg := d.Config(cl).(type) {
+		case vast.Config:
+			e.vcfg = &cfg
+		case nvmelocal.Config:
+			e.ncfg = &cfg
+		case lustre.Config:
+			e.lcfg = &cfg
+		case gpfs.Config:
+			e.gcfg = &cfg
+		case unifyfs.Config:
+			e.ucfg = &cfg
 		}
 	}
 	return e, nil
@@ -585,10 +573,7 @@ func (e *whatIfExplorer) measure(c configsearch.Candidate) (configsearch.Metrics
 	if err != nil {
 		return configsearch.Metrics{}, fmt.Errorf("whatif: build %s: %w", c, err)
 	}
-	mount := func(tenant string, node int) fsapi.Client {
-		return tb.mount(tb.cl.Node(node).Name+"/"+tenant, node)
-	}
-	rep := traffic.Run(tb.env, tb.fab, c.Nodes, mount, traffic.Config{
+	rep := traffic.Run(tb.Env, tb.Fab, c.Nodes, tb.TenantMount, traffic.Config{
 		Spec:     e.specFor(c),
 		Duration: e.window,
 		Seed:     e.cfg.Seed,
@@ -632,9 +617,9 @@ func (e *whatIfExplorer) specFor(c configsearch.Candidate) traffic.Spec {
 // scenario (through a repair manager when the candidate names a rebuild
 // QoS). The injector is armed, with an empty schedule when the space has
 // no fault, so the caller can check it for a refused event after the run.
-func (e *whatIfExplorer) buildCandidate(c configsearch.Candidate) (*testbed, *faults.Injector, error) {
+func (e *whatIfExplorer) buildCandidate(c configsearch.Candidate) (*cluster.Testbed, *faults.Injector, error) {
 	var mutate func(*vast.Config)
-	if c.Backend == "vast" && e.cfg.Space.Machine == "Wombat" {
+	if c.Backend == "vast" {
 		mutate = func(v *vast.Config) { mutateVASTCandidate(v, c) }
 	}
 	tb, err := buildTestbed(e.cfg.Space.Machine, FS(c.Backend), c.Nodes, mutate)
@@ -645,13 +630,13 @@ func (e *whatIfExplorer) buildCandidate(c configsearch.Candidate) (*testbed, *fa
 	if f := e.cfg.Space.Fault; f != nil {
 		sched.Events = []faults.Event{{At: f.At, Kind: faults.Kind(f.Kind), Index: f.Index, Factor: f.Factor}}
 	}
-	var target faults.Target = tb.target
+	var target faults.Target = tb.System
 	if c.RepairQoS != "" {
 		qos := repair.QoS{MinBytes: rebuildFloorBytes}
 		if c.RepairQoS == configsearch.QoSThrottled {
 			qos.RateBps = rebuildThrottleBps
 		}
-		target = repair.NewManager(tb.env, tb.fab, tb.target, qos)
+		target = repair.NewManager(tb.Env, tb.Fab, tb.System, qos)
 	}
 	inj, err := injectFaults(tb, c.Backend, target, sched)
 	if err != nil {
@@ -660,7 +645,7 @@ func (e *whatIfExplorer) buildCandidate(c configsearch.Candidate) (*testbed, *fa
 	return tb, inj, nil
 }
 
-// mutateVASTCandidate applies the candidate's vast knobs to the Wombat
+// mutateVASTCandidate applies the candidate's vast knobs to the VAST
 // config before instantiation.
 func mutateVASTCandidate(v *vast.Config, c configsearch.Candidate) {
 	if c.CNodes > 0 {

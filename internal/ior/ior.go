@@ -99,8 +99,9 @@ func (c *Config) Validate() error {
 // BytesPerRank returns the file size each rank moves.
 func (c *Config) BytesPerRank() int64 { return c.BlockSize * int64(c.Segments) }
 
-// opLevel reports whether the run needs per-operation fidelity.
-func (c *Config) opLevel() bool { return c.OpLevel || c.Fsync }
+// PerOp reports whether the run simulates every operation: OpLevel, or
+// Fsync, which implies it.
+func (c *Config) PerOp() bool { return c.OpLevel || c.Fsync }
 
 // Result is the outcome of one run.
 type Result struct {
@@ -205,7 +206,7 @@ func fileName(cfg Config, rank int) string {
 // the shared file (N-1).
 func writeRank(p *sim.Proc, cl fsapi.Client, cfg Config, rank, ranks int, locks *lockState) {
 	total := cfg.BytesPerRank()
-	if !cfg.opLevel() {
+	if !cfg.PerOp() {
 		access := fsapi.Sequential
 		if cfg.SharedFile {
 			// Interleaved segments destroy sequentiality at the devices.
@@ -251,7 +252,7 @@ func readRank(p *sim.Proc, cl fsapi.Client, cfg Config, rank, ranks int) {
 		// Reading a peer's interleaved segments is non-contiguous on disk.
 		access = fsapi.Random
 	}
-	if !cfg.opLevel() {
+	if !cfg.PerOp() {
 		cl.StreamRead(p, fileName(cfg, src), access, cfg.TransferSize, total)
 		return
 	}

@@ -258,6 +258,10 @@ func TableI() string { return cluster.TableI() }
 
 // Deployment constructors (Section IV-B).
 var (
+	// Deploy builds a file system ("vast", "gpfs", "lustre", "nvme",
+	// "unifyfs") as the cluster's machine mounts it and mounts every node;
+	// a pair outside the deployment table is an error.
+	Deploy = cluster.Deploy
 	// VASTOnLassen is the NFS/TCP single-gateway deployment.
 	VASTOnLassen = cluster.VASTOnLassen
 	// VASTOnRuby is the eight-gateway 40 GbE deployment.
